@@ -73,6 +73,24 @@ impl Criterion {
         });
     }
 
+    /// The records as the `BENCH_<label>.json` array. Values are written
+    /// at full precision (shortest round-trip), so a gate reading them sees
+    /// exactly what was recorded.
+    pub fn to_json(&self) -> String {
+        let mut json = String::from("[\n");
+        for (i, r) in self.records.iter().enumerate() {
+            if i > 0 {
+                json.push_str(",\n");
+            }
+            json.push_str(&format!(
+                "  {{\"id\": \"{}\", \"mean_ns\": {}, \"iters\": {}}}",
+                r.id, r.mean_ns, r.iters
+            ));
+        }
+        json.push_str("\n]\n");
+        json
+    }
+
     /// Writes every recorded measurement to
     /// `results/BENCH_<label>.json` (relative to the workspace root when
     /// run under cargo) and prints a summary table.
@@ -80,17 +98,7 @@ impl Criterion {
         if self.records.is_empty() {
             return;
         }
-        let mut json = String::from("[\n");
-        for (i, r) in self.records.iter().enumerate() {
-            if i > 0 {
-                json.push_str(",\n");
-            }
-            json.push_str(&format!(
-                "  {{\"id\": \"{}\", \"mean_ns\": {:.1}, \"iters\": {}}}",
-                r.id, r.mean_ns, r.iters
-            ));
-        }
-        json.push_str("\n]\n");
+        let json = self.to_json();
         if let Some(dir) = results_dir() {
             let path = dir.join(format!("BENCH_{label}.json"));
             if std::fs::create_dir_all(&dir)
@@ -301,5 +309,18 @@ mod tests {
         assert!(c.records().iter().all(|r| r.iters > 0));
         assert_eq!(c.records()[0].id, "g/trivial");
         assert_eq!(c.records()[1].id, "g/3");
+    }
+
+    #[test]
+    fn recorded_values_are_written_at_full_precision() {
+        let mut c = Criterion::default();
+        c.record_metric("gate/agreement", 0.97);
+        c.record_metric("gate/ratio", 1.0 / 3.0);
+        let json = c.to_json();
+        assert!(
+            json.contains("\"id\": \"gate/agreement\", \"mean_ns\": 0.97,"),
+            "{json}"
+        );
+        assert!(json.contains("\"mean_ns\": 0.3333333333333333,"), "{json}");
     }
 }

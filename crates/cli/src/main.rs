@@ -16,10 +16,8 @@
 //! `serde` representations, so models trained here load in user code and
 //! vice versa.
 //!
-//! Failures exit with a class-specific code (see [`DcnError::exit_code`]):
-//! `2` configuration, `3` IO, `4` corrupt state, `5` non-finite values,
-//! `6` overloaded, `7` peer lost, `8` quorum lost (the last three minted by
-//! the serving and distributed-training planes), `1` anything else.
+//! Failures exit with a class-specific code from the workspace table,
+//! [`dcn_core::EXIT_CODES`], which `dcn help` prints.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -30,8 +28,8 @@ use dcn_attacks::{
     Lbfgs, TargetedAttack,
 };
 use dcn_core::{
-    attack_success_against, models, Corrector, Dcn, DcnError, Detector, DetectorConfig,
-    StandardDefense, VoteBudget,
+    attack_success_against, exit_code_legend, models, Corrector, Dcn, DcnError, Detector,
+    DetectorConfig, StandardDefense, VoteBudget,
 };
 use dcn_data::{synth_cifar, synth_mnist, Dataset, SynthConfig};
 use dcn_fault::FaultPlan;
@@ -174,7 +172,8 @@ fn apply_fault_flags(flags: &HashMap<String, String>) -> Result<(), DcnError> {
 }
 
 fn long_help() -> String {
-    "dcn — train, attack and defend image classifiers (DCN reproduction)
+    format!(
+        "dcn — train, attack and defend image classifiers (DCN reproduction)
 
 commands:
   train   train a CNN on a synthetic task and save it as JSON
@@ -213,9 +212,9 @@ defend: --dcn PATH  --pool PATH
         --max-votes V        per-query cap on corrector votes
         --quorum Q (1)       min votes before falling back to the base network
 
-exit codes: 0 ok, 2 configuration, 3 io, 4 corrupt state, 5 non-finite,
-            6 overloaded (dcn-serve), 7 peer lost, 8 quorum lost (dcn-ps), 1 other"
-        .to_string()
+{}",
+        exit_code_legend()
+    )
 }
 
 /// Parses `--key value` pairs; rejects unknown shapes early.

@@ -6,7 +6,8 @@
 //! matches on, organized by *failure class* rather than by crate, so the
 //! operational response — fix the config, retry the IO, restore the file,
 //! page someone — falls out of the variant. [`DcnError::exit_code`] maps the
-//! classes onto distinct process exit codes for scripting.
+//! classes onto distinct process exit codes for scripting; [`EXIT_CODES`]
+//! is the one table of those codes.
 
 use std::fmt;
 
@@ -16,6 +17,31 @@ use dcn_nn::NnError;
 use dcn_tensor::TensorError;
 
 use crate::DefenseError;
+
+/// Every exit code a workspace binary (`dcn`, `dcn-serve`, `dcn-ps`) ends
+/// with, as `(code, label)` in code order: `0` is success, `2`–`7` are the
+/// failure classes [`DcnError::exit_code`] returns, and `1` is every other
+/// variant. The CLIs print it through [`exit_code_legend`]; a unit test
+/// holds it to `exit_code` and to the table in DESIGN.md §10.
+pub const EXIT_CODES: &[(i32, &str)] = &[
+    (0, "ok"),
+    (1, "other"),
+    (2, "configuration"),
+    (3, "io"),
+    (4, "corrupt state"),
+    (5, "non-finite"),
+    (6, "overloaded"),
+    (7, "peer lost"),
+];
+
+/// [`EXIT_CODES`] as the one-line legend that ends every CLI's `--help`.
+pub fn exit_code_legend() -> String {
+    let entries: Vec<String> = EXIT_CODES
+        .iter()
+        .map(|(code, label)| format!("{code} {label}"))
+        .collect();
+    format!("exit codes: {}", entries.join(", "))
+}
 
 /// Top-level error for DCN serving and training, organized by failure
 /// class. Wrapping variants keep the original error for diagnostics; the
@@ -55,26 +81,14 @@ pub enum DcnError {
         capacity: usize,
     },
     /// A distributed-training peer (worker or parameter server) stopped
-    /// responding and bounded reconnect retries were exhausted. The run can
-    /// often continue degraded — losing *this* peer is survivable as long
-    /// as a quorum remains — so the class is distinct from [`Io`], whose
-    /// response is "retry the operation", and from [`QuorumLost`], whose
-    /// response is "restart the job".
+    /// responding and bounded reconnect retries were exhausted. The class
+    /// is distinct from [`Io`], whose response is "retry the operation":
+    /// the retries already ran, so the peer must be restarted.
     PeerLost {
         /// Stable name of the lost peer (e.g. `"worker-2"` or `"server"`).
         peer: String,
-        /// What was observed: connection refused, reset, heartbeat expiry.
+        /// What was observed: connection refused, reset, torn frame.
         msg: String,
-    },
-    /// Too many distributed-training peers are gone for the run to make
-    /// progress: the surviving worker set fell below the configured quorum.
-    /// The job must be restarted (from its shard checkpoints); no amount of
-    /// per-operation retry recovers this.
-    QuorumLost {
-        /// Workers still alive when the run gave up.
-        alive: usize,
-        /// The configured minimum quorum.
-        quorum: usize,
     },
     /// An unclassified tensor-level failure.
     Tensor(TensorError),
@@ -89,10 +103,9 @@ pub enum DcnError {
 }
 
 impl DcnError {
-    /// The process exit code for this failure class, for CLI scripting:
-    /// `2` config, `3` IO, `4` corrupt state, `5` non-finite values, `6`
-    /// overloaded, `7` peer lost, `8` quorum lost, `1` anything else.
-    /// (`0` is success and never returned here.)
+    /// The process exit code for this failure class, for CLI scripting;
+    /// [`EXIT_CODES`] labels every code. (`0` is success and never
+    /// returned here.)
     pub fn exit_code(&self) -> i32 {
         match self {
             DcnError::Config(_) => 2,
@@ -101,7 +114,6 @@ impl DcnError {
             DcnError::NonFinite(_) => 5,
             DcnError::Overloaded { .. } => 6,
             DcnError::PeerLost { .. } => 7,
-            DcnError::QuorumLost { .. } => 8,
             _ => 1,
         }
     }
@@ -123,10 +135,6 @@ impl fmt::Display for DcnError {
             DcnError::PeerLost { peer, msg } => {
                 write!(f, "peer lost: {peer} unreachable after bounded retries: {msg}")
             }
-            DcnError::QuorumLost { alive, quorum } => write!(
-                f,
-                "quorum lost: {alive} workers alive, {quorum} required — restart from checkpoints"
-            ),
             DcnError::Tensor(e) => write!(f, "tensor error: {e}"),
             DcnError::Nn(e) => write!(f, "network error: {e}"),
             DcnError::Data(e) => write!(f, "data error: {e}"),
@@ -199,45 +207,127 @@ impl From<DefenseError> for DcnError {
 mod tests {
     use super::*;
 
+    /// One value of every failure class, by variant name.
+    fn one_of_each() -> Vec<(&'static str, DcnError)> {
+        vec![
+            ("Config", DcnError::Config("x".into())),
+            (
+                "Io",
+                DcnError::Io {
+                    site: "s".into(),
+                    kind: std::io::ErrorKind::NotFound,
+                    msg: "m".into(),
+                },
+            ),
+            ("Corrupt", DcnError::Corrupt("x".into())),
+            ("NonFinite", DcnError::NonFinite("x".into())),
+            (
+                "Overloaded",
+                DcnError::Overloaded {
+                    queued: 8,
+                    capacity: 8,
+                },
+            ),
+            (
+                "PeerLost",
+                DcnError::PeerLost {
+                    peer: "worker-1".into(),
+                    msg: "reset".into(),
+                },
+            ),
+            ("Tensor", DcnError::Tensor(TensorError::Empty)),
+        ]
+    }
+
     #[test]
     fn exit_codes_separate_failure_classes() {
-        assert_eq!(DcnError::Config("x".into()).exit_code(), 2);
+        let codes: Vec<(&str, i32)> = one_of_each()
+            .iter()
+            .map(|(name, e)| (*name, e.exit_code()))
+            .collect();
         assert_eq!(
-            DcnError::Io {
-                site: "s".into(),
-                kind: std::io::ErrorKind::NotFound,
-                msg: "m".into()
-            }
-            .exit_code(),
-            3
+            codes,
+            [
+                ("Config", 2),
+                ("Io", 3),
+                ("Corrupt", 4),
+                ("NonFinite", 5),
+                ("Overloaded", 6),
+                ("PeerLost", 7),
+                ("Tensor", 1),
+            ]
         );
-        assert_eq!(DcnError::Corrupt("x".into()).exit_code(), 4);
-        assert_eq!(DcnError::NonFinite("x".into()).exit_code(), 5);
-        assert_eq!(
-            DcnError::Overloaded {
-                queued: 8,
-                capacity: 8
-            }
-            .exit_code(),
-            6
-        );
-        assert_eq!(
-            DcnError::PeerLost {
-                peer: "worker-1".into(),
-                msg: "reset".into()
-            }
-            .exit_code(),
-            7
-        );
-        assert_eq!(
-            DcnError::QuorumLost {
-                alive: 1,
-                quorum: 2
-            }
-            .exit_code(),
-            8
-        );
-        assert_eq!(DcnError::Tensor(TensorError::Empty).exit_code(), 1);
+    }
+
+    /// The rows of DESIGN.md §10's exit-code table, as `(code, label,
+    /// variant)` cells with backticks stripped.
+    fn design_rows(doc: &str) -> Vec<[String; 3]> {
+        let section = doc
+            .split("\n## ")
+            .find(|s| s.starts_with("10."))
+            .unwrap_or("");
+        section
+            .lines()
+            .filter_map(|line| {
+                let inner = line.trim().strip_prefix('|')?.strip_suffix('|')?;
+                let cells: Vec<String> = inner
+                    .split('|')
+                    .map(|c| c.trim().replace('`', ""))
+                    .collect();
+                let [code, label, variant] = <[String; 3]>::try_from(cells).ok()?;
+                code.parse::<i32>()
+                    .is_ok()
+                    .then_some([code, label, variant])
+            })
+            .collect()
+    }
+
+    /// The rows §10 must hold: [`EXIT_CODES`], each with the variant whose
+    /// `exit_code` returns it.
+    fn expected_rows() -> Vec<[String; 3]> {
+        let variants = one_of_each();
+        EXIT_CODES
+            .iter()
+            .map(|&(code, label)| {
+                let variant = match code {
+                    0 => "—",
+                    1 => "any other variant",
+                    _ => variants
+                        .iter()
+                        .find(|(_, e)| e.exit_code() == code)
+                        .map_or("?", |(name, _)| name),
+                };
+                [code.to_string(), label.to_string(), variant.to_string()]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn exit_code_table_matches_the_taxonomy_and_design_doc() {
+        for (i, &(code, label)) in EXIT_CODES.iter().enumerate() {
+            assert_eq!(code, i as i32, "codes run 0, 1, 2, … in order");
+            assert!(!label.is_empty());
+        }
+        let codes: Vec<i32> = one_of_each().iter().map(|(_, e)| e.exit_code()).collect();
+        for &(code, label) in &EXIT_CODES[1..] {
+            assert!(
+                codes.contains(&code),
+                "no variant exits with {code} ({label})"
+            );
+        }
+        let legend = exit_code_legend();
+        assert!(legend.starts_with("exit codes: 0 ok, 1 other, 2 configuration"));
+        assert!(legend.ends_with("7 peer lost"), "{legend}");
+
+        let doc = include_str!("../../../DESIGN.md");
+        assert_eq!(design_rows(doc), expected_rows());
+        // The check fails on a changed row and on a missing row.
+        let changed = doc.replacen("| 4 | corrupt state |", "| 4 | corrupt artifact |", 1);
+        let missing = doc.replacen("| 7 | peer lost | `PeerLost` |", "", 1);
+        for edited in [changed, missing] {
+            assert_ne!(edited, doc, "the edit must hit the table");
+            assert_ne!(design_rows(&edited), expected_rows());
+        }
     }
 
     #[test]

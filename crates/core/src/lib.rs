@@ -68,7 +68,7 @@ pub use batch::BatchRequest;
 pub use corrector::{BoundedVote, Corrector, VoteBudget};
 pub use cost::CountingClassifier;
 pub use dcn::{Dcn, DcnReport, DcnVerdict};
-pub use error::DcnError;
+pub use error::{exit_code_legend, DcnError, EXIT_CODES};
 pub use defense::{attack_success_against, defense_accuracy, Defense, StandardDefense};
 pub use detector::{Detector, DetectorConfig, DetectorReport, QuantizedDetector};
 pub use distill::{distill, DistillConfig};

@@ -7,7 +7,6 @@
 
 mod determinism;
 mod error_site;
-mod exit_code_registry;
 mod fault_site;
 mod lock_order;
 mod lock_scope;
@@ -23,7 +22,6 @@ use crate::source::SourceFile;
 
 pub use determinism::Determinism;
 pub use error_site::ErrorSite;
-pub use exit_code_registry::ExitCodeRegistry;
 pub use fault_site::FaultSite;
 pub use lock_order::{LockOrder, ORDER_FILE};
 pub use lock_scope::LockScope;
@@ -69,7 +67,6 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
         Box::new(LockScope),
         Box::new(LockOrder::default()),
         Box::new(PoisonPolicy::default()),
-        Box::new(ExitCodeRegistry::default()),
     ]
 }
 
@@ -132,7 +129,7 @@ mod tests {
         let mut names: Vec<&str> = rules.iter().map(|r| r.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 10);
+        assert_eq!(names.len(), 9);
         for r in &rules {
             assert!(r.allowlist().ends_with("_allowlist.txt"), "{}", r.name());
         }

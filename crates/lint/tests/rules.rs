@@ -236,22 +236,6 @@ fn poison_policy_fail_fixture_trips_unwrap_and_expect() {
 }
 
 #[test]
-fn exit_code_registry_pass_fixture_is_clean() {
-    assert_pass("exit-code-registry", "exit_code_registry_pass.rs");
-}
-
-#[test]
-fn exit_code_registry_fail_fixture_trips_all_four_disagreements() {
-    let findings = run_rule("exit-code-registry", "exit_code_registry_fail.rs");
-    assert_eq!(findings.len(), 4, "{findings:#?}");
-    let text = format!("{findings:?}");
-    assert!(text.contains("maps `Io` to exit code 9"), "{text}");
-    assert!(text.contains("missing the `QuorumLost` arm"), "{text}");
-    assert!(text.contains("labels exit code 2"), "{text}");
-    assert!(text.contains("missing code 8"), "{text}");
-}
-
-#[test]
 fn shebang_line_banned_words_do_not_reach_rules() {
     // Regression: `#!/usr/bin/env …` used to lex as the start of an
     // attribute; the interpreter line is a comment, so the `panic!` and

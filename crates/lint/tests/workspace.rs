@@ -15,9 +15,9 @@ fn workspace_root() -> PathBuf {
 }
 
 #[test]
-fn workspace_is_clean_under_all_ten_rules() {
+fn workspace_is_clean_under_all_nine_rules() {
     let report = engine::run(&workspace_root(), None).expect("engine runs");
-    assert_eq!(report.rules.len(), 10);
+    assert_eq!(report.rules.len(), 9);
     for rule in &report.rules {
         assert!(rule.files_scanned > 0, "{} scanned nothing", rule.name);
         let live: Vec<_> = rule.live_findings().collect();
@@ -85,7 +85,7 @@ fn binary_check_is_clean_and_exits_zero() {
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("clean (10 rules)"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("clean (9 rules)"));
 }
 
 #[test]
@@ -127,7 +127,6 @@ fn binary_list_names_all_rules() {
         "lock-scope",
         "lock-order",
         "poison-policy",
-        "exit-code-registry",
     ] {
         assert!(text.contains(name), "missing {name} in: {text}");
     }

@@ -7,22 +7,17 @@
 //! N worker processes rebuild the dataset and model deterministically from
 //! the job seed, compute gradients, and push them over a length-prefixed
 //! binary protocol on localhost TCP (same framing discipline as
-//! `dcn-serve`). Two execution modes:
+//! `dcn-serve`).
 //!
-//! * **BSP** (`Mode::Bsp`) — one global batch is in flight at a time and
-//!   updates apply in the single-process batch order. Any live worker may
-//!   compute the pending batch (idle workers take over expired
-//!   assignments), and because every worker reconstructs the same batch
-//!   bit-for-bit, the final model is **bitwise identical** to
-//!   `Trainer::fit_resumable` with the same seed — for any worker count,
-//!   and across worker SIGKILLs and respawns. Fault tolerance costs
-//!   determinism nothing: exactly-once application is enforced by the
-//!   parameter `version` each push carries.
-//! * **Async** (`Mode::Async`) — each worker owns a dataset partition and
-//!   updates apply in arrival order for throughput. Liveness is tracked by
-//!   heartbeat deadlines; a straggler is evicted and the run degrades to
-//!   the surviving quorum, failing with `DcnError::QuorumLost` (exit 8)
-//!   only when the survivors fall below `min_quorum`.
+//! Training is bulk-synchronous (BSP, `Mode::Bsp`): one global batch is in
+//! flight at a time and updates apply in the single-process batch order.
+//! Any live worker may compute the pending batch (idle workers take over
+//! expired assignments), and because every worker reconstructs the same
+//! batch bit-for-bit, the final model is **bitwise identical** to
+//! `Trainer::fit_resumable` with the same seed — for any worker count, and
+//! across worker SIGKILLs and respawns. Fault tolerance costs determinism
+//! nothing: exactly-once application is enforced by the parameter
+//! `version` each push carries.
 //!
 //! Every connect/read/write on the worker side goes through bounded
 //! deterministic retry (`dcn_fault::RetryPolicy`) and is hooked for the
@@ -43,7 +38,7 @@ pub use protocol::{
     ClientMsg, JobSpec, Mode, ServerMsg, MAX_FRAME,
 };
 pub use server::{serve, RunningServer, ServerConfig, TrainSummary};
-pub use setup::{async_epoch_order, async_partition, bsp_epoch_order, build_job, num_batches, Job};
+pub use setup::{bsp_epoch_order, build_job, num_batches, Job};
 pub use shard::{Resume, ShardStore};
 pub use worker::{run_worker, WorkerConfig};
 
@@ -51,7 +46,7 @@ pub use worker::{run_worker, WorkerConfig};
 pub mod names {
     /// Workers that completed the Hello/Welcome handshake.
     pub const PS_WORKERS_JOINED_TOTAL: &str = "ps.workers_joined_total";
-    /// Workers declared dead (disconnect or heartbeat expiry).
+    /// Workers declared dead (their connection closed mid-run).
     pub const PS_WORKERS_LOST_TOTAL: &str = "ps.workers_lost_total";
     /// Worker processes respawned by the orchestrator.
     pub const PS_WORKERS_RESPAWNED_TOTAL: &str = "ps.workers_respawned_total";
@@ -62,9 +57,6 @@ pub mod names {
     /// BSP assignments handed to a second worker after the straggler
     /// deadline expired or the assignee died.
     pub const PS_BATCHES_REASSIGNED_TOTAL: &str = "ps.batches_reassigned_total";
-    /// Async batches skipped because their owner died (graceful
-    /// degradation to the surviving quorum).
-    pub const PS_BATCHES_DEGRADED_TOTAL: &str = "ps.batches_degraded_total";
     /// Epochs fully applied.
     pub const PS_EPOCHS_TOTAL: &str = "ps.epochs_total";
     /// Sealed shard-checkpoint sets written.

@@ -11,38 +11,62 @@
 //!   leg drives: SIGKILL any worker mid-epoch and the run still finishes
 //!   with a bitwise-identical model.
 //!
-//! Exit codes follow the workspace table: 0 ok, 2 config, 3 io, 4 corrupt,
-//! 5 non-finite, 6 overloaded, 7 peer lost, 8 quorum lost, 1 other.
+//! Each subcommand rejects a flag it does not read (exit 2). Exit codes
+//! are the workspace table, `dcn_core::EXIT_CODES`, which `--help` prints.
 
 use std::path::PathBuf;
 use std::process::{Child, Command};
 use std::time::Duration;
 
-use dcn_core::DcnError;
-use dcn_ps::{run_worker, serve, Mode, RunningServer, ServerConfig, TrainSummary, WorkerConfig};
+use dcn_core::{exit_code_legend, DcnError};
+use dcn_ps::{run_worker, serve, RunningServer, ServerConfig, TrainSummary, WorkerConfig};
 
 const USAGE: &str = "\
 dcn-ps — fault-tolerant distributed training on a sharded parameter server
 
 USAGE:
   dcn-ps train  [--task mnist|cifar] [--n N] [--epochs E] [--batch-size B]
-                [--seed S] [--mode bsp|async] [--workers W] [--min-quorum Q]
-                [--shards K] [--lr LR] [--shard-dir DIR] [--out FILE]
-                [--straggler-ms MS] [--max-respawns R]
-  dcn-ps serve  [same training flags] [--bind HOST:PORT]
+                [--seed S] [--workers W] [--shards K] [--lr LR]
+                [--shard-dir DIR] [--out FILE] [--straggler-ms MS]
+                [--bind HOST:PORT] [--max-respawns R]
+  dcn-ps serve  [same training flags, without --max-respawns]
   dcn-ps worker --addr HOST:PORT [--worker I] [--incarnation G]
                 [--reconnects R] [--die-after-pushes P]
 
-MODES:
-  bsp    one global batch in flight; final model is bitwise-identical to
-         single-process `dcn train --checkpoint` with the same seed
-  async  workers own dataset partitions, updates apply on arrival; degrades
-         gracefully to the surviving quorum
-
-EXIT CODES:
-  0 ok, 2 config, 3 io, 4 corrupt, 5 non-finite, 6 overloaded,
-  7 peer lost, 8 quorum lost, 1 other
+Training is bulk-synchronous: one global batch in flight, so the final
+model is bitwise-identical to single-process `dcn train --checkpoint` with
+the same seed, at any worker count.
 ";
+
+/// Flags `serve` reads (all of them through `server_config`).
+const SERVE_FLAGS: &[&str] = &[
+    "task",
+    "n",
+    "epochs",
+    "batch-size",
+    "seed",
+    "workers",
+    "shards",
+    "lr",
+    "shard-dir",
+    "out",
+    "straggler-ms",
+    "bind",
+];
+
+/// Flags `train` reads: the server's plus the respawn budget.
+fn train_flags() -> Vec<&'static str> {
+    [SERVE_FLAGS, &["max-respawns"]].concat()
+}
+
+/// Flags `worker` reads.
+const WORKER_FLAGS: &[&str] = &[
+    "addr",
+    "worker",
+    "incarnation",
+    "reconnects",
+    "die-after-pushes",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -62,7 +86,7 @@ fn run(args: &[String]) -> Result<(), DcnError> {
         Some("serve") => cmd_serve(&args[1..]),
         Some("worker") => cmd_worker(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
-            print!("{USAGE}");
+            println!("{USAGE}\n{}", exit_code_legend());
             Ok(())
         }
         Some(other) => Err(DcnError::Config(format!(
@@ -77,7 +101,9 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, DcnError> {
+    /// Parses `args`, rejecting any flag not in `known` — the flags the
+    /// subcommand actually reads.
+    fn parse(args: &[String], known: &[&str]) -> Result<Flags, DcnError> {
         let mut pairs = Vec::new();
         let mut it = args.iter();
         while let Some(key) = it.next() {
@@ -86,6 +112,11 @@ impl Flags {
                     "expected a --flag, got {key:?}; see dcn-ps --help"
                 )));
             };
+            if !known.contains(&name) {
+                return Err(DcnError::Config(format!(
+                    "unknown flag --{name} for this subcommand; see dcn-ps --help"
+                )));
+            }
             let Some(value) = it.next() else {
                 return Err(DcnError::Config(format!("--{name} needs a value")));
             };
@@ -114,7 +145,6 @@ impl Flags {
 
 fn server_config(flags: &Flags) -> Result<ServerConfig, DcnError> {
     let base = ServerConfig::default();
-    let workers = flags.num("workers", base.workers)?;
     Ok(ServerConfig {
         addr: flags.get("bind").unwrap_or("127.0.0.1:0").to_string(),
         task: flags.get("task").unwrap_or(&base.task).to_string(),
@@ -122,9 +152,8 @@ fn server_config(flags: &Flags) -> Result<ServerConfig, DcnError> {
         epochs: flags.num("epochs", base.epochs)?,
         batch_size: flags.num("batch-size", base.batch_size)?,
         seed: flags.num("seed", base.seed)?,
-        mode: Mode::parse(flags.get("mode").unwrap_or("bsp"))?,
-        workers,
-        min_quorum: flags.num("min-quorum", 1usize.min(workers))?,
+        mode: base.mode,
+        workers: flags.num("workers", base.workers)?,
         shards: flags.num("shards", base.shards)?,
         lr: flags.num("lr", base.lr)?,
         shard_dir: flags.get("shard-dir").map(PathBuf::from),
@@ -135,14 +164,12 @@ fn server_config(flags: &Flags) -> Result<ServerConfig, DcnError> {
 
 fn print_summary(cfg: &ServerConfig, summary: &TrainSummary) {
     println!(
-        "mode={} workers={} epochs={} version={} accuracy={:.4} workers_lost={} degraded_batches={}",
-        cfg.mode.as_str(),
+        "workers={} epochs={} version={} accuracy={:.4} workers_lost={}",
         cfg.workers,
         summary.epoch_losses.len(),
         summary.version,
         summary.accuracy,
         summary.workers_lost,
-        summary.degraded_batches,
     );
     let losses: Vec<String> = summary
         .epoch_losses
@@ -153,7 +180,7 @@ fn print_summary(cfg: &ServerConfig, summary: &TrainSummary) {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), DcnError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, SERVE_FLAGS)?;
     let cfg = server_config(&flags)?;
     let server = serve(cfg.clone())?;
     println!("listening on {}", server.addr());
@@ -163,7 +190,7 @@ fn cmd_serve(args: &[String]) -> Result<(), DcnError> {
 }
 
 fn cmd_worker(args: &[String]) -> Result<(), DcnError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, WORKER_FLAGS)?;
     let Some(addr) = flags.get("addr") else {
         return Err(DcnError::Config("worker needs --addr HOST:PORT".to_string()));
     };
@@ -210,7 +237,7 @@ fn spawn_worker(addr: &str, worker: u32, incarnation: u32) -> Result<WorkerProc,
 /// The orchestrator: in-process server, worker child processes, respawn on
 /// death while the run is live.
 fn cmd_train(args: &[String]) -> Result<(), DcnError> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, &train_flags())?;
     let cfg = server_config(&flags)?;
     let max_respawns: u32 = flags.num("max-respawns", 16)?;
     let server: RunningServer = serve(cfg.clone())?;
@@ -299,4 +326,31 @@ fn cmd_train(args: &[String]) -> Result<(), DcnError> {
     }
     print_summary(&cfg, &summary);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn flags_a_subcommand_does_not_read_are_config_errors() {
+        let train = train_flags();
+        let ok = Flags::parse(&args(&["--workers", "2", "--max-respawns", "3"]), &train);
+        assert_eq!(ok.map(|f| f.pairs.len()).ok(), Some(2));
+        for (argv, known) in [
+            (&["--mode", "async"][..], &train[..]),
+            (&["--max-respawns", "3"], SERVE_FLAGS),
+            (&["--task", "mnist"], WORKER_FLAGS),
+        ] {
+            let err = Flags::parse(&args(argv), known).err();
+            assert!(
+                matches!(&err, Some(e @ DcnError::Config(_)) if e.exit_code() == 2),
+                "{argv:?}: {err:?}"
+            );
+        }
+    }
 }

@@ -11,16 +11,11 @@
 //! get_work  := 0x02 worker:u32
 //! push      := 0x03 worker:u32 epoch:u32 batch:u32 version:u64 loss:f32
 //!              tensors
-//! pull      := 0x04 worker:u32
-//! heartbeat := 0x05 worker:u32
-//! done      := 0x06 worker:u32
 //!
-//! welcome   := 0x41 mode:u8 n:u32 epochs:u32 batch:u32 workers:u32
-//!              quorum:u32 start_epoch:u32 seed:u64 task_len:u8 task:utf8
+//! welcome   := 0x41 n:u32 batch:u32 seed:u64 task_len:u8 task:utf8
 //! work      := 0x42 epoch:u32 batch:u32 version:u64 tensors
 //! shutdown  := 0x43
-//! ack       := 0x44 applied:u8 version:u64 has_params:u8 [tensors]
-//! params    := 0x45 version:u64 tensors
+//! ack       := 0x44 applied:u8 version:u64
 //! error     := 0x46 code:u8 msg_len:u16 msg:utf8
 //!
 //! tensors   := count:u32 (len:u32 values:f32×len)×count
@@ -28,7 +23,7 @@
 //!
 //! Parameter and gradient tensors travel as flat f32 little-endian value
 //! vectors in `Network::params()` order: the f32 bits round-trip exactly,
-//! which is what lets BSP mode stay bitwise-identical to single-process
+//! which is what lets BSP training stay bitwise-identical to single-process
 //! training across the wire.
 //!
 //! # Error mapping
@@ -54,15 +49,11 @@ pub const MAX_TENSORS: usize = 4096;
 const KIND_HELLO: u8 = 0x01;
 const KIND_GET_WORK: u8 = 0x02;
 const KIND_PUSH: u8 = 0x03;
-const KIND_PULL: u8 = 0x04;
-const KIND_HEARTBEAT: u8 = 0x05;
-const KIND_DONE: u8 = 0x06;
 
 const KIND_WELCOME: u8 = 0x41;
 const KIND_WORK: u8 = 0x42;
 const KIND_SHUTDOWN: u8 = 0x43;
 const KIND_ACK: u8 = 0x44;
-const KIND_PARAMS: u8 = 0x45;
 const KIND_ERROR: u8 = 0x46;
 
 /// How shard updates are scheduled.
@@ -72,30 +63,6 @@ pub enum Mode {
     /// fixed order — the final model is bitwise-identical to single-process
     /// `Trainer::fit_resumable` with the same seed, for any worker count.
     Bsp,
-    /// Wait-free: each worker trains its own partition and updates apply in
-    /// arrival order — maximum throughput, run-to-run nondeterministic.
-    Async,
-}
-
-impl Mode {
-    /// Parses the CLI spelling.
-    pub fn parse(s: &str) -> Result<Self, DcnError> {
-        match s {
-            "bsp" => Ok(Mode::Bsp),
-            "async" => Ok(Mode::Async),
-            other => Err(DcnError::Config(format!(
-                "unknown mode {other:?} (bsp or async)"
-            ))),
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Mode::Bsp => "bsp",
-            Mode::Async => "async",
-        }
-    }
 }
 
 /// A message from a worker to the server.
@@ -109,7 +76,7 @@ pub enum ClientMsg {
         /// killed worker, so the server can tell a rejoin from a duplicate.
         incarnation: u32,
     },
-    /// BSP: ask for the next batch assignment (blocks until one is free).
+    /// Ask for the next batch assignment (blocks until one is free).
     GetWork {
         /// The asking worker.
         worker: u32,
@@ -129,21 +96,6 @@ pub enum ClientMsg {
         /// Flat gradients, one vector per parameter tensor.
         grads: Vec<Vec<f32>>,
     },
-    /// Async: fetch the current parameters.
-    PullParams {
-        /// The asking worker.
-        worker: u32,
-    },
-    /// Liveness signal (async workers send these between pushes).
-    Heartbeat {
-        /// The worker reporting in.
-        worker: u32,
-    },
-    /// Async: the worker finished every epoch of its partition.
-    Done {
-        /// The finished worker.
-        worker: u32,
-    },
 }
 
 /// A message from the server to a worker.
@@ -152,7 +104,7 @@ pub enum ServerMsg {
     /// Handshake reply: the full job description a worker needs to rebuild
     /// the dataset, model and shuffle streams deterministically.
     Welcome(JobSpec),
-    /// BSP: one batch assignment with the parameters to compute it at.
+    /// One batch assignment with the parameters to compute it at.
     Work {
         /// Epoch of the assignment.
         epoch: u32,
@@ -165,24 +117,15 @@ pub enum ServerMsg {
     },
     /// Training is complete; the worker should exit cleanly.
     Shutdown,
-    /// Reply to a push: whether the gradients were applied, the resulting
-    /// version, and (async mode) fresh parameters to continue from.
+    /// Reply to a push: whether the gradients were applied and the
+    /// resulting version.
     Ack {
         /// `true` if applied; `false` if the push was stale or duplicate.
         applied: bool,
         /// The server's parameter version after handling the push.
         version: u64,
-        /// Fresh parameters (async mode piggyback); empty in BSP.
-        params: Option<Vec<Vec<f32>>>,
     },
-    /// Reply to a pull: the current parameters.
-    Params {
-        /// The shipped parameter version.
-        version: u64,
-        /// Flat parameters, one vector per tensor.
-        params: Vec<Vec<f32>>,
-    },
-    /// A typed failure (e.g. quorum lost); `code` is the
+    /// A typed failure (e.g. a failed shard checkpoint); `code` is the
     /// [`DcnError::exit_code`] of the class.
     Error {
         /// Failure-class exit code.
@@ -201,7 +144,6 @@ impl ServerMsg {
             ServerMsg::Work { .. } => "Work",
             ServerMsg::Shutdown => "Shutdown",
             ServerMsg::Ack { .. } => "Ack",
-            ServerMsg::Params { .. } => "Params",
             ServerMsg::Error { .. } => "Error",
         }
     }
@@ -215,18 +157,8 @@ pub struct JobSpec {
     pub task: String,
     /// Training-set size.
     pub n: u32,
-    /// Total epochs.
-    pub epochs: u32,
     /// Mini-batch size.
     pub batch_size: u32,
-    /// Expected worker count (fixes async partition boundaries).
-    pub workers: u32,
-    /// Minimum surviving workers for an async run to keep going.
-    pub min_quorum: u32,
-    /// First epoch of this run (> 0 after a shard-checkpoint resume).
-    pub start_epoch: u32,
-    /// Execution mode.
-    pub mode: Mode,
     /// The training seed every RNG stream derives from.
     pub seed: u64,
 }
@@ -452,18 +384,6 @@ pub fn encode_client(msg: &ClientMsg) -> Vec<u8> {
             out.extend_from_slice(&loss.to_le_bytes());
             put_tensors(&mut out, grads);
         }
-        ClientMsg::PullParams { worker } => {
-            out.push(KIND_PULL);
-            out.extend_from_slice(&worker.to_le_bytes());
-        }
-        ClientMsg::Heartbeat { worker } => {
-            out.push(KIND_HEARTBEAT);
-            out.extend_from_slice(&worker.to_le_bytes());
-        }
-        ClientMsg::Done { worker } => {
-            out.push(KIND_DONE);
-            out.extend_from_slice(&worker.to_le_bytes());
-        }
     }
     out
 }
@@ -497,15 +417,6 @@ fn decode_client_inner(payload: &[u8]) -> Result<ClientMsg, String> {
             loss: c.f32("loss")?,
             grads: take_tensors(&mut c)?,
         },
-        KIND_PULL => ClientMsg::PullParams {
-            worker: c.u32("worker")?,
-        },
-        KIND_HEARTBEAT => ClientMsg::Heartbeat {
-            worker: c.u32("worker")?,
-        },
-        KIND_DONE => ClientMsg::Done {
-            worker: c.u32("worker")?,
-        },
         other => return Err(format!("unknown client message tag {other:#04x}")),
     };
     if c.remaining() != 0 {
@@ -523,16 +434,8 @@ pub fn encode_server(msg: &ServerMsg) -> Vec<u8> {
     match msg {
         ServerMsg::Welcome(spec) => {
             out.push(KIND_WELCOME);
-            out.push(match spec.mode {
-                Mode::Bsp => 0,
-                Mode::Async => 1,
-            });
             out.extend_from_slice(&spec.n.to_le_bytes());
-            out.extend_from_slice(&spec.epochs.to_le_bytes());
             out.extend_from_slice(&spec.batch_size.to_le_bytes());
-            out.extend_from_slice(&spec.workers.to_le_bytes());
-            out.extend_from_slice(&spec.min_quorum.to_le_bytes());
-            out.extend_from_slice(&spec.start_epoch.to_le_bytes());
             out.extend_from_slice(&spec.seed.to_le_bytes());
             let task = spec.task.as_bytes();
             let take = task.len().min(u8::MAX as usize);
@@ -552,26 +455,10 @@ pub fn encode_server(msg: &ServerMsg) -> Vec<u8> {
             put_tensors(&mut out, params);
         }
         ServerMsg::Shutdown => out.push(KIND_SHUTDOWN),
-        ServerMsg::Ack {
-            applied,
-            version,
-            params,
-        } => {
+        ServerMsg::Ack { applied, version } => {
             out.push(KIND_ACK);
             out.push(u8::from(*applied));
             out.extend_from_slice(&version.to_le_bytes());
-            match params {
-                Some(p) => {
-                    out.push(1);
-                    put_tensors(&mut out, p);
-                }
-                None => out.push(0),
-            }
-        }
-        ServerMsg::Params { version, params } => {
-            out.push(KIND_PARAMS);
-            out.extend_from_slice(&version.to_le_bytes());
-            put_tensors(&mut out, params);
         }
         ServerMsg::Error { code, msg } => {
             let bytes = msg.as_bytes();
@@ -605,17 +492,8 @@ fn decode_server_inner(payload: &[u8]) -> Result<ServerMsg, String> {
     let kind = c.u8("kind tag")?;
     let msg = match kind {
         KIND_WELCOME => {
-            let mode = match c.u8("mode")? {
-                0 => Mode::Bsp,
-                1 => Mode::Async,
-                other => return Err(format!("unknown mode byte {other}")),
-            };
             let n = c.u32("n")?;
-            let epochs = c.u32("epochs")?;
             let batch_size = c.u32("batch_size")?;
-            let workers = c.u32("workers")?;
-            let min_quorum = c.u32("min_quorum")?;
-            let start_epoch = c.u32("start_epoch")?;
             let seed = c.u64("seed")?;
             let task_len = c.u8("task length")? as usize;
             let task = std::str::from_utf8(c.take(task_len, "task")?)
@@ -624,12 +502,7 @@ fn decode_server_inner(payload: &[u8]) -> Result<ServerMsg, String> {
             ServerMsg::Welcome(JobSpec {
                 task,
                 n,
-                epochs,
                 batch_size,
-                workers,
-                min_quorum,
-                start_epoch,
-                mode,
                 seed,
             })
         }
@@ -646,22 +519,11 @@ fn decode_server_inner(payload: &[u8]) -> Result<ServerMsg, String> {
                 1 => true,
                 other => return Err(format!("unknown applied byte {other}")),
             };
-            let version = c.u64("version")?;
-            let params = match c.u8("has_params")? {
-                0 => None,
-                1 => Some(take_tensors(&mut c)?),
-                other => return Err(format!("unknown has_params byte {other}")),
-            };
             ServerMsg::Ack {
                 applied,
-                version,
-                params,
+                version: c.u64("version")?,
             }
         }
-        KIND_PARAMS => ServerMsg::Params {
-            version: c.u64("version")?,
-            params: take_tensors(&mut c)?,
-        },
         KIND_ERROR => {
             let code = c.u8("code")?;
             let len = c.u16("msg length")? as usize;
@@ -712,9 +574,6 @@ mod tests {
             loss: 0.25,
             grads: vec![vec![1.0, -2.5, f32::MIN_POSITIVE], vec![], vec![0.0]],
         });
-        roundtrip_client(ClientMsg::PullParams { worker: 2 });
-        roundtrip_client(ClientMsg::Heartbeat { worker: 9 });
-        roundtrip_client(ClientMsg::Done { worker: 5 });
     }
 
     #[test]
@@ -722,12 +581,7 @@ mod tests {
         roundtrip_server(ServerMsg::Welcome(JobSpec {
             task: "mnist".into(),
             n: 512,
-            epochs: 3,
             batch_size: 32,
-            workers: 4,
-            min_quorum: 2,
-            start_epoch: 1,
-            mode: Mode::Async,
             seed: 42,
         }));
         roundtrip_server(ServerMsg::Work {
@@ -740,20 +594,14 @@ mod tests {
         roundtrip_server(ServerMsg::Ack {
             applied: true,
             version: 24,
-            params: None,
         });
         roundtrip_server(ServerMsg::Ack {
             applied: false,
             version: 24,
-            params: Some(vec![vec![1.5, 2.5]]),
-        });
-        roundtrip_server(ServerMsg::Params {
-            version: 9,
-            params: vec![vec![3.0; 4]],
         });
         roundtrip_server(ServerMsg::Error {
-            code: 8,
-            msg: "quorum lost".into(),
+            code: 3,
+            msg: "epoch checkpoint failed".into(),
         });
     }
 
@@ -767,12 +615,14 @@ mod tests {
             f32::MIN_POSITIVE,
             1.0000001,
         ]];
-        let msg = ServerMsg::Params {
+        let msg = ServerMsg::Work {
+            epoch: 0,
+            batch: 0,
             version: 1,
             params: tricky.clone(),
         };
         let bytes = encode_server(&msg);
-        let Ok(ServerMsg::Params { params, .. }) = decode_server(&bytes) else {
+        let Ok(ServerMsg::Work { params, .. }) = decode_server(&bytes) else {
             panic!("decode failed");
         };
         let want: Vec<u32> = tricky[0].iter().map(|v| v.to_bits()).collect();
@@ -822,15 +672,15 @@ mod tests {
         work.truncate(work.len() - 3);
         assert!(matches!(decode_server(&work), Err(DcnError::Corrupt(_))));
         // A hostile tensor count is rejected before allocation.
-        let mut bomb = vec![KIND_PARAMS];
-        bomb.extend_from_slice(&0u64.to_le_bytes());
+        let mut bomb = vec![KIND_WORK];
+        bomb.extend_from_slice(&[0u8; 16]);
         bomb.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(decode_server(&bomb), Err(DcnError::Corrupt(_))));
     }
 
     #[test]
     fn frames_roundtrip_and_clean_eof_is_none() {
-        let payload = encode_client(&ClientMsg::Heartbeat { worker: 1 });
+        let payload = encode_client(&ClientMsg::GetWork { worker: 1 });
         let mut buf = Vec::new();
         write_frame(&mut buf, &payload).unwrap();
         let mut r = &buf[..];
@@ -840,7 +690,7 @@ mod tests {
 
     #[test]
     fn torn_frame_is_an_io_error() {
-        let payload = encode_client(&ClientMsg::Heartbeat { worker: 1 });
+        let payload = encode_client(&ClientMsg::GetWork { worker: 1 });
         let mut buf = Vec::new();
         write_frame(&mut buf, &payload).unwrap();
         buf.truncate(buf.len() - 2);

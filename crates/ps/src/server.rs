@@ -1,15 +1,14 @@
 //! The parameter server: shard ownership, scheduling, liveness, recovery.
 //!
 //! One mutex-guarded coordinator state is shared by the per-connection
-//! threads (one per worker, in the `dcn-serve` style) plus a liveness
-//! monitor. BSP scheduling lives in the `GetWork` handler: the server
-//! releases global batch `b` only after batch `b-1`'s gradients applied,
-//! so updates land in exactly the single-process order; a second worker
-//! asking while an assignment is outstanding parks on the condvar until
-//! the straggler deadline, then takes over the same batch (speculative
-//! duplicates are harmless — both compute bit-identical gradients, and the
-//! `version` check applies exactly one). Async mode skips the scheduler
-//! entirely: pushes apply on arrival under the shard lock.
+//! threads (one per worker, in the `dcn-serve` style). BSP scheduling
+//! lives in the `GetWork` handler: the server releases global batch `b`
+//! only after batch `b-1`'s gradients applied, so updates land in exactly
+//! the single-process order; a second worker asking while an assignment is
+//! outstanding parks on the condvar until the straggler deadline, then
+//! takes over the same batch (speculative duplicates are harmless — both
+//! compute bit-identical gradients, and the `version` check applies
+//! exactly one).
 
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -48,13 +47,10 @@ pub struct ServerConfig {
     pub batch_size: usize,
     /// Seed for every derived RNG stream.
     pub seed: u64,
-    /// Execution mode.
+    /// Execution mode; BSP is the only schedule.
     pub mode: Mode,
-    /// Expected worker count (fixes async partition boundaries).
+    /// Worker processes the `dcn-ps train` orchestrator spawns.
     pub workers: usize,
-    /// Async mode: minimum surviving workers before the run fails with
-    /// [`DcnError::QuorumLost`].
-    pub min_quorum: usize,
     /// Number of parameter shards.
     pub shards: usize,
     /// Adam learning rate (the CLI trainer's 0.002 by default).
@@ -63,8 +59,7 @@ pub struct ServerConfig {
     pub shard_dir: Option<PathBuf>,
     /// Final model path; `None` skips the save.
     pub out: Option<PathBuf>,
-    /// BSP: reassignment deadline for an outstanding batch. Async:
-    /// heartbeat liveness deadline.
+    /// Reassignment deadline for an outstanding batch.
     pub straggler: Duration,
 }
 
@@ -79,7 +74,6 @@ impl Default for ServerConfig {
             seed: 42,
             mode: Mode::Bsp,
             workers: 1,
-            min_quorum: 1,
             shards: 4,
             lr: 0.002,
             shard_dir: None,
@@ -100,16 +94,11 @@ pub struct TrainSummary {
     pub version: u64,
     /// Workers declared dead during the run.
     pub workers_lost: usize,
-    /// Async batches never applied because their owner died.
-    pub degraded_batches: usize,
 }
 
 struct WorkerInfo {
     incarnation: u32,
     alive: bool,
-    done: bool,
-    last_seen: Instant,
-    applied: u64,
 }
 
 struct State {
@@ -118,17 +107,15 @@ struct State {
     test: Dataset,
     store: ShardStore,
     num_batches: usize,
-    /// First epoch of this run (> 0 after a shard-checkpoint resume).
-    start_epoch: usize,
     /// Next epoch to apply.
     epoch: usize,
-    /// Next batch to apply within the epoch (BSP).
+    /// Next batch to apply within the epoch.
     batch: usize,
     /// Total applied batches — the exactly-once fence every push carries.
     version: u64,
     epoch_losses: Vec<f32>,
     loss_sum: f32,
-    /// BSP: the outstanding `(worker, assigned_at)` for the pending batch.
+    /// The outstanding `(worker, assigned_at)` for the pending batch.
     assignment: Option<(u32, Instant)>,
     workers: BTreeMap<u32, WorkerInfo>,
     workers_lost: usize,
@@ -167,8 +154,7 @@ impl RunningServer {
     ///
     /// # Errors
     ///
-    /// Propagates the run's failure — notably [`DcnError::QuorumLost`]
-    /// when async mode fell below quorum, and shard-checkpoint IO errors.
+    /// Propagates the run's failure, such as a shard-checkpoint IO error.
     pub fn join(mut self) -> Result<TrainSummary, DcnError> {
         if let Some(h) = self.accept.take() {
             if h.join().is_err() {
@@ -237,8 +223,8 @@ impl RunningServer {
 ///
 /// # Errors
 ///
-/// [`DcnError::Config`] for a bad task/mode combination, [`DcnError::Io`]
-/// for bind failures, plus shard-checkpoint load errors.
+/// [`DcnError::Config`] for a bad task or size, [`DcnError::Io`] for bind
+/// failures, plus shard-checkpoint load errors.
 pub fn serve(cfg: ServerConfig) -> Result<RunningServer, DcnError> {
     if cfg.batch_size == 0 || cfg.n == 0 || cfg.epochs == 0 {
         return Err(DcnError::Config(
@@ -275,8 +261,6 @@ pub fn serve(cfg: ServerConfig) -> Result<RunningServer, DcnError> {
     })?;
 
     let nb = num_batches(cfg.n, cfg.batch_size);
-    let straggler = cfg.straggler;
-    let mode = cfg.mode;
     let already_done = start_epoch >= cfg.epochs;
     let shared = Arc::new(Shared {
         state: ordered::Mutex::new(
@@ -286,7 +270,6 @@ pub fn serve(cfg: ServerConfig) -> Result<RunningServer, DcnError> {
                 test: job.test,
                 store,
                 num_batches: nb,
-                start_epoch,
                 epoch: start_epoch,
                 batch: 0,
                 version,
@@ -309,30 +292,6 @@ pub fn serve(cfg: ServerConfig) -> Result<RunningServer, DcnError> {
         // immediately so `join` returns the checkpointed model's summary.
         let mut st = shared.state.lock();
         finalize(&shared, &mut st);
-    }
-
-    // Async liveness monitor: evicts workers whose heartbeats stopped.
-    if mode == Mode::Async {
-        let shared = Arc::clone(&shared);
-        std::thread::spawn(move || loop {
-            if shared.done.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(straggler / 4);
-            let mut st = shared.state.lock();
-            if st.finished {
-                return;
-            }
-            let expired: Vec<u32> = st
-                .workers
-                .iter()
-                .filter(|(_, w)| w.alive && !w.done && w.last_seen.elapsed() > straggler)
-                .map(|(&id, _)| id)
-                .collect();
-            for id in expired {
-                mark_dead(&shared, &mut st, id, "heartbeat deadline expired");
-            }
-        });
     }
 
     let accept = {
@@ -410,9 +369,9 @@ fn connection(shared: &Shared, stream: TcpStream) {
         let lively = st
             .workers
             .get(&w)
-            .is_some_and(|i| i.alive && !i.done && i.incarnation == inc);
+            .is_some_and(|i| i.alive && i.incarnation == inc);
         if lively && !st.finished {
-            mark_dead(shared, &mut st, w, "connection closed");
+            mark_dead(shared, &mut st, w);
         }
     }
 }
@@ -427,86 +386,32 @@ fn dispatch(shared: &Shared, msg: ClientMsg, who: &mut Option<(u32, u32)>) -> Se
         } => {
             *who = Some((worker, incarnation));
             let mut st = shared.state.lock();
-            let now = Instant::now();
             let info = st.workers.entry(worker).or_insert(WorkerInfo {
                 incarnation,
                 alive: true,
-                done: false,
-                last_seen: now,
-                applied: 0,
             });
             info.incarnation = info.incarnation.max(incarnation);
             info.alive = true;
-            info.last_seen = now;
             if dcn_obs::enabled() {
                 dcn_obs::counter(names::PS_WORKERS_JOINED_TOTAL).inc();
             }
             let spec = JobSpec {
                 task: st.cfg.task.clone(),
                 n: st.cfg.n as u32,
-                epochs: st.cfg.epochs as u32,
                 batch_size: st.cfg.batch_size as u32,
-                workers: st.cfg.workers as u32,
-                min_quorum: st.cfg.min_quorum as u32,
-                start_epoch: st.start_epoch as u32,
-                mode: st.cfg.mode,
                 seed: st.cfg.seed,
             };
             ServerMsg::Welcome(spec)
         }
         ClientMsg::GetWork { worker } => get_work(shared, worker),
         ClientMsg::PushGrads {
-            worker,
             epoch,
             batch,
             version,
             loss,
             grads,
-        } => push_grads(shared, worker, epoch, batch, version, loss, &grads),
-        ClientMsg::PullParams { worker } => {
-            let mut st = shared.state.lock();
-            touch(&mut st, worker);
-            ServerMsg::Params {
-                version: st.version,
-                params: st.net.export_param_data(),
-            }
-        }
-        ClientMsg::Heartbeat { worker } => {
-            let mut st = shared.state.lock();
-            touch(&mut st, worker);
-            if st.workers.get(&worker).is_some_and(|w| !w.alive) {
-                return evicted(&st, worker);
-            }
-            ServerMsg::Ack {
-                applied: false,
-                version: st.version,
-                params: None,
-            }
-        }
-        ClientMsg::Done { worker } => {
-            let mut st = shared.state.lock();
-            touch(&mut st, worker);
-            if let Some(info) = st.workers.get_mut(&worker) {
-                info.done = true;
-            }
-            maybe_finish_async(shared, &mut st);
-            ServerMsg::Shutdown
-        }
-    }
-}
-
-fn touch(st: &mut State, worker: u32) {
-    let now = Instant::now();
-    if let Some(info) = st.workers.get_mut(&worker) {
-        info.last_seen = now;
-    }
-}
-
-fn evicted(st: &State, worker: u32) -> ServerMsg {
-    let _ = st;
-    ServerMsg::Error {
-        code: 7,
-        msg: format!("worker {worker} was evicted after missing its liveness deadline"),
+            ..
+        } => push_grads(shared, epoch, batch, version, loss, &grads),
     }
 }
 
@@ -514,13 +419,6 @@ fn evicted(st: &State, worker: u32) -> ServerMsg {
 /// worker's assignment is outstanding and fresh.
 fn get_work(shared: &Shared, worker: u32) -> ServerMsg {
     let mut st = shared.state.lock();
-    touch(&mut st, worker);
-    if st.cfg.mode != Mode::Bsp {
-        return ServerMsg::Error {
-            code: 2,
-            msg: "GetWork is a BSP message; async workers schedule locally".to_string(),
-        };
-    }
     loop {
         if st.finished {
             return finished_reply(&st);
@@ -557,10 +455,10 @@ fn get_work(shared: &Shared, worker: u32) -> ServerMsg {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Applies a push only if it is for the pending batch at the current
+/// version: the exactly-once fence.
 fn push_grads(
     shared: &Shared,
-    worker: u32,
     epoch: u32,
     batch: u32,
     version: u64,
@@ -568,95 +466,52 @@ fn push_grads(
     grads: &[Vec<f32>],
 ) -> ServerMsg {
     let mut st = shared.state.lock();
-    touch(&mut st, worker);
     if st.finished {
         return finished_reply(&st);
     }
-    match st.cfg.mode {
-        Mode::Bsp => {
-            let expected = version == st.version
-                && epoch as usize == st.epoch
-                && batch as usize == st.batch;
-            if !expected {
-                // Stale, duplicate, or replayed after a reassignment: the
-                // exactly-once fence rejects it without touching shards.
-                if dcn_obs::enabled() {
-                    dcn_obs::counter(names::PS_BATCHES_STALE_TOTAL).inc();
-                }
-                return ServerMsg::Ack {
-                    applied: false,
-                    version: st.version,
-                    params: None,
-                };
-            }
-            match apply(&mut st, worker, loss, grads) {
-                Ok(()) => {}
-                Err(e) => {
-                    return ServerMsg::Error {
-                        code: e.exit_code().clamp(1, 255) as u8,
-                        msg: e.to_string(),
-                    }
-                }
-            }
-            st.assignment = None;
-            if st.batch == st.num_batches {
-                if let Err(e) = finish_epoch(&mut st) {
-                    fail(shared, &mut st, e);
-                    let code = result_code(&st);
-                    return ServerMsg::Error {
-                        code,
-                        msg: "epoch checkpoint failed; run aborted".to_string(),
-                    };
-                }
-                if st.epoch == st.cfg.epochs {
-                    finalize(shared, &mut st);
-                }
-            }
-            shared.cond.notify_all();
-            ServerMsg::Ack {
-                applied: true,
-                version: st.version,
-                params: None,
-            }
+    let expected =
+        version == st.version && epoch as usize == st.epoch && batch as usize == st.batch;
+    if !expected {
+        // Stale, duplicate, or replayed after a reassignment: the
+        // exactly-once fence rejects it without touching shards.
+        if dcn_obs::enabled() {
+            dcn_obs::counter(names::PS_BATCHES_STALE_TOTAL).inc();
         }
-        Mode::Async => {
-            if st.workers.get(&worker).is_some_and(|w| !w.alive) {
-                return evicted(&st, worker);
-            }
-            match apply(&mut st, worker, loss, grads) {
-                Ok(()) => {}
-                Err(e) => {
-                    return ServerMsg::Error {
-                        code: e.exit_code().clamp(1, 255) as u8,
-                        msg: e.to_string(),
-                    }
-                }
-            }
-            // Arrival-order epoch accounting: every num_batches applied
-            // pushes close one "epoch equivalent" for loss reporting and
-            // checkpoint cadence.
-            if st.version.is_multiple_of(st.num_batches as u64) {
-                if let Err(e) = finish_epoch(&mut st) {
-                    fail(shared, &mut st, e);
-                    let code = result_code(&st);
-                    return ServerMsg::Error {
-                        code,
-                        msg: "epoch checkpoint failed; run aborted".to_string(),
-                    };
-                }
-            }
-            ServerMsg::Ack {
-                applied: true,
-                version: st.version,
-                params: Some(st.net.export_param_data()),
-            }
+        return ServerMsg::Ack {
+            applied: false,
+            version: st.version,
+        };
+    }
+    if let Err(e) = apply(&mut st, loss, grads) {
+        return ServerMsg::Error {
+            code: e.exit_code().clamp(1, 255) as u8,
+            msg: e.to_string(),
+        };
+    }
+    st.assignment = None;
+    if st.batch == st.num_batches {
+        if let Err(e) = finish_epoch(&mut st) {
+            fail(shared, &mut st, e);
+            let code = result_code(&st);
+            return ServerMsg::Error {
+                code,
+                msg: "epoch checkpoint failed; run aborted".to_string(),
+            };
         }
+        if st.epoch == st.cfg.epochs {
+            finalize(shared, &mut st);
+        }
+    }
+    shared.cond.notify_all();
+    ServerMsg::Ack {
+        applied: true,
+        version: st.version,
     }
 }
 
 /// Applies one gradient batch to the shards; the version advances only on
 /// success.
-fn apply(st: &mut State, worker: u32, loss: f32, grads: &[Vec<f32>]) -> Result<(), DcnError> {
+fn apply(st: &mut State, loss: f32, grads: &[Vec<f32>]) -> Result<(), DcnError> {
     let started = dcn_obs::enabled().then(Instant::now);
     let shapes: Vec<Vec<usize>> = st.net.params().iter().map(|p| p.shape().to_vec()).collect();
     if grads.len() != shapes.len() {
@@ -681,9 +536,6 @@ fn apply(st: &mut State, worker: u32, loss: f32, grads: &[Vec<f32>]) -> Result<(
     st.version += 1;
     st.batch += 1;
     st.loss_sum += loss;
-    if let Some(info) = st.workers.get_mut(&worker) {
-        info.applied += 1;
-    }
     if let Some(start) = started {
         dcn_obs::counter(names::PS_BATCHES_APPLIED_TOTAL).inc();
         dcn_obs::sketch(names::PS_APPLY_LATENCY).observe(start.elapsed().as_secs_f64());
@@ -712,9 +564,8 @@ fn finish_epoch(st: &mut State) -> Result<(), DcnError> {
     Ok(())
 }
 
-/// Declares a worker dead, releases its BSP assignment, and (async)
-/// enforces the quorum.
-fn mark_dead(shared: &Shared, st: &mut ordered::Guard<'_, State>, worker: u32, why: &str) {
+/// Declares a worker dead and releases its assignment.
+fn mark_dead(shared: &Shared, st: &mut ordered::Guard<'_, State>, worker: u32) {
     let Some(info) = st.workers.get_mut(&worker) else {
         return;
     };
@@ -733,35 +584,7 @@ fn mark_dead(shared: &Shared, st: &mut ordered::Guard<'_, State>, worker: u32, w
             st.assignment = Some((worker, Instant::now() - st.cfg.straggler));
         }
     }
-    if st.cfg.mode == Mode::Async {
-        let alive = st.workers.values().filter(|w| w.alive).count();
-        if alive < st.cfg.min_quorum && !st.finished {
-            fail(
-                shared,
-                st,
-                DcnError::QuorumLost {
-                    alive,
-                    quorum: st.cfg.min_quorum,
-                },
-            );
-            return;
-        }
-        maybe_finish_async(shared, st);
-    }
-    let _ = why;
     shared.cond.notify_all();
-}
-
-/// Async completion: every worker that is still alive has finished.
-fn maybe_finish_async(shared: &Shared, st: &mut ordered::Guard<'_, State>) {
-    if st.finished || st.cfg.mode != Mode::Async {
-        return;
-    }
-    let joined = st.workers.len();
-    let unfinished = st.workers.values().filter(|w| w.alive && !w.done).count();
-    if joined > 0 && unfinished == 0 {
-        finalize(shared, st);
-    }
 }
 
 /// Records a failed run and wakes everyone.
@@ -784,9 +607,9 @@ fn result_code(st: &State) -> u8 {
 }
 
 /// What a finished run tells late-arriving requests: `Shutdown` after
-/// success, the typed failure (e.g. quorum lost) after an abort — so every
-/// worker exits with the run's real error class, even after `join` already
-/// consumed the result.
+/// success, the typed failure (e.g. a failed checkpoint) after an abort —
+/// so every worker exits with the run's real error class, even after `join`
+/// already consumed the result.
 fn finished_reply(st: &State) -> ServerMsg {
     match &st.failure {
         Some((code, msg)) => ServerMsg::Error {
@@ -807,39 +630,15 @@ fn finalize(shared: &Shared, st: &mut ordered::Guard<'_, State>) {
         if let Some(out) = &st.cfg.out {
             st.net.save(out)?;
         }
-        let degraded = degraded_batches(st);
         Ok(TrainSummary {
             epoch_losses: st.epoch_losses.clone(),
             accuracy,
             version: st.version,
             workers_lost: st.workers_lost,
-            degraded_batches: degraded,
         })
     })();
-    if let (Ok(_), true) = (&outcome, dcn_obs::enabled()) {
-        let degraded = degraded_batches(st);
-        dcn_obs::counter(names::PS_BATCHES_DEGRADED_TOTAL).add(degraded as u64);
-    }
     st.finished = true;
     st.result = Some(outcome);
     shared.done.store(true, Ordering::Relaxed);
     shared.cond.notify_all();
-}
-
-/// Async batches that will never apply: each dead worker's share of the
-/// remaining schedule.
-fn degraded_batches(st: &State) -> usize {
-    if st.cfg.mode != Mode::Async {
-        return 0;
-    }
-    let epochs_left = st.cfg.epochs.saturating_sub(st.start_epoch);
-    st.workers
-        .iter()
-        .filter(|(_, w)| !w.alive)
-        .map(|(&id, w)| {
-            let part = crate::setup::async_partition(st.cfg.n, st.cfg.workers, id as usize);
-            let per_epoch = num_batches(part.len(), st.cfg.batch_size);
-            (per_epoch * epochs_left).saturating_sub(w.applied as usize)
-        })
-        .sum()
 }

@@ -16,7 +16,7 @@ use rand::SeedableRng;
 
 /// The reconstructed training world.
 pub struct Job {
-    /// The training set (partitioned across workers in async mode).
+    /// The training set.
     pub train: Dataset,
     /// The held-out set, for final-accuracy reporting.
     pub test: Dataset,
@@ -55,30 +55,12 @@ fn dataset(task: &str, n: usize, rng: &mut StdRng) -> Result<Dataset, DcnError> 
     }
 }
 
-/// The example order of `epoch` in BSP mode: the same `(seed, epoch)`
+/// The example order of `epoch`: the same `(seed, epoch)`
 /// shuffle `Trainer::fit_resumable` draws, so global batch `b` of epoch `e`
 /// names the same examples here, in the trainer, and on every worker.
 pub fn bsp_epoch_order(n: usize, seed: u64, epoch: usize) -> Vec<usize> {
     let mut rng = StdRng::seed_from_u64(epoch_seed(seed, epoch));
     let mut order: Vec<usize> = (0..n).collect();
-    order.shuffle(&mut rng);
-    order
-}
-
-/// The contiguous slice of `0..n` that async worker `w` of `workers` owns.
-pub fn async_partition(n: usize, workers: usize, w: usize) -> std::ops::Range<usize> {
-    let workers = workers.max(1);
-    let w = w.min(workers - 1);
-    (w * n / workers)..((w + 1) * n / workers)
-}
-
-/// Async worker `w`'s example order for `epoch`, over its own partition.
-/// Seeded per `(seed, worker, epoch)` so partitions reshuffle independently.
-pub fn async_epoch_order(n: usize, workers: usize, w: usize, seed: u64, epoch: usize) -> Vec<usize> {
-    let part = async_partition(n, workers, w);
-    let mixed = seed ^ (w as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F);
-    let mut rng = StdRng::seed_from_u64(epoch_seed(mixed, epoch));
-    let mut order: Vec<usize> = part.collect();
     order.shuffle(&mut rng);
     order
 }
@@ -110,21 +92,6 @@ mod tests {
         let mut sorted = e0.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn async_partitions_tile_the_dataset() {
-        let n = 103;
-        let workers = 4;
-        let mut all: Vec<usize> = (0..workers)
-            .flat_map(|w| async_partition(n, workers, w))
-            .collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..n).collect::<Vec<_>>());
-        let order = async_epoch_order(n, workers, 2, 42, 0);
-        let part = async_partition(n, workers, 2);
-        assert!(order.iter().all(|&i| part.contains(&i)));
-        assert_eq!(order.len(), part.len());
     }
 
     #[test]

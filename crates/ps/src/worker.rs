@@ -3,12 +3,12 @@
 //!
 //! A worker dials the server with bounded deterministic retry, handshakes,
 //! rebuilds the training world from the [`crate::JobSpec`] scalars, then
-//! loops: fetch work (BSP) or walk its own partition (async), compute the
-//! batch gradient exactly as `Trainer::fit_resumable` would, push it, and
-//! obey the server's verdict. Every socket operation is hooked for the
-//! `dcn-fault` network injectors (`ps.conn.*`), and a dropped session is
-//! survived by reconnecting — the BSP determinism contract makes recomputed
-//! work bit-identical, so retrying is always safe.
+//! loops: fetch work, compute the batch gradient exactly as
+//! `Trainer::fit_resumable` would, push it, and obey the server's verdict.
+//! Every socket operation is hooked for the `dcn-fault` network injectors
+//! (`ps.conn.*`), and a dropped session is survived by reconnecting — the
+//! BSP determinism contract makes recomputed work bit-identical, so
+//! retrying is always safe.
 
 use std::io::{BufReader, Read};
 use std::net::TcpStream;
@@ -20,9 +20,9 @@ use dcn_nn::{softmax_cross_entropy, Network};
 use dcn_tensor::Tensor;
 
 use crate::protocol::{
-    decode_server, encode_client, read_frame, write_frame, ClientMsg, JobSpec, Mode, ServerMsg,
+    decode_server, encode_client, read_frame, write_frame, ClientMsg, JobSpec, ServerMsg,
 };
-use crate::setup::{async_epoch_order, bsp_epoch_order, build_job, num_batches};
+use crate::setup::{bsp_epoch_order, build_job};
 use crate::names;
 
 /// Worker configuration.
@@ -38,8 +38,8 @@ pub struct WorkerConfig {
     pub retry: RetryPolicy,
     /// Full reconnect cycles allowed after an established session drops.
     pub reconnects: u32,
-    /// Test hook: exit abruptly (socket dropped, no `Done`) after this many
-    /// applied pushes, simulating a crash.
+    /// Test hook: exit abruptly (socket dropped) after this many applied
+    /// pushes, simulating a crash.
     pub die_after_pushes: Option<u64>,
 }
 
@@ -168,20 +168,6 @@ fn server_error(code: u8, msg: String) -> DcnError {
             peer: "server".to_string(),
             msg,
         },
-        8 => {
-            // The Display form is "quorum lost: A workers alive, Q
-            // required" — recover the two counts; zero still carries the
-            // "below quorum" meaning if the format ever drifts.
-            let nums: Vec<usize> = msg
-                .split(|c: char| !c.is_ascii_digit())
-                .filter(|s| !s.is_empty())
-                .filter_map(|s| s.parse().ok())
-                .collect();
-            DcnError::QuorumLost {
-                alive: nums.first().copied().unwrap_or(0),
-                quorum: nums.get(1).copied().unwrap_or(0),
-            }
-        }
         _ => DcnError::Config(format!("server error {code}: {msg}")),
     }
 }
@@ -195,8 +181,7 @@ fn server_error(code: u8, msg: String) -> DcnError {
 /// # Errors
 ///
 /// [`DcnError::PeerLost`] when the server stays unreachable through the
-/// bounded retry budget; typed server errors ([`DcnError::QuorumLost`] et
-/// al.) are passed through.
+/// bounded retry budget; typed server errors are passed through.
 pub fn run_worker(cfg: &WorkerConfig) -> Result<(), DcnError> {
     let mut world: Option<World> = None;
     let mut pushes_done = 0u64;
@@ -224,8 +209,8 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<(), DcnError> {
     }
 }
 
-/// One connected session: handshake, then the mode-specific work loop.
-/// Returns `Ok(())` only on an orderly shutdown.
+/// One connected session: handshake, then the work loop. Returns `Ok(())`
+/// only on an orderly shutdown.
 fn run_session(
     cfg: &WorkerConfig,
     world: &mut Option<World>,
@@ -260,10 +245,7 @@ fn run_session(
     let Some(world) = world.as_mut() else {
         return Err(DcnError::Config("world cache empty after rebuild".to_string()));
     };
-    match world.spec.mode {
-        Mode::Bsp => bsp_loop(cfg, world, &mut session, pushes_done),
-        Mode::Async => async_loop(cfg, world, &mut session, pushes_done),
-    }
+    bsp_loop(cfg, world, &mut session, pushes_done)
 }
 
 /// Computes the gradient of global batch `(epoch, batch)` over `order`,
@@ -339,7 +321,7 @@ fn bsp_loop(
                 if applied {
                     *pushes_done += 1;
                     if cfg.die_after_pushes.is_some_and(|cap| *pushes_done >= cap) {
-                        // Crash hook: vanish without a Done; the server's
+                        // Crash hook: vanish mid-run; the server's
                         // liveness layer must notice and reassign.
                         return Ok(());
                     }
@@ -354,96 +336,5 @@ fn bsp_loop(
                 )))
             }
         }
-    }
-}
-
-/// Async: walk this worker's own partition schedule, pushing every batch
-/// as it is computed; fresh parameters ride back on each `Ack`.
-fn async_loop(
-    cfg: &WorkerConfig,
-    world: &mut World,
-    session: &mut Session,
-    pushes_done: &mut u64,
-) -> Result<(), DcnError> {
-    let n = world.spec.n as usize;
-    let workers = world.spec.workers as usize;
-    let seed = world.spec.seed;
-    let bs = world.spec.batch_size as usize;
-    // Pull a parameter snapshot to start (or resume after a reconnect).
-    let pull = ClientMsg::PullParams { worker: cfg.worker };
-    match session.roundtrip(&pull)? {
-        ServerMsg::Params { params, .. } => world.net.import_param_data(&params)?,
-        ServerMsg::Error { code, msg } => return Err(server_error(code, msg)),
-        other => {
-            return Err(DcnError::Corrupt(format!(
-                "expected Params, got {}",
-                other.kind_name()
-            )))
-        }
-    }
-    // Resume the schedule where a previous session left off: the server
-    // counted our applied pushes, but locally `pushes_done` is the source
-    // of truth for this incarnation, which is fine — re-applied batches in
-    // async mode are just extra arrival-order updates.
-    let start_epoch = world.spec.start_epoch as usize;
-    let mut since_heartbeat = 0u32;
-    for epoch in start_epoch..world.spec.epochs as usize {
-        let order = async_epoch_order(n, workers, cfg.worker as usize, seed, epoch);
-        let batches = num_batches(order.len(), bs);
-        for batch in 0..batches {
-            let (grads, loss) = compute_batch(world, &order, batch)?;
-            let push = ClientMsg::PushGrads {
-                worker: cfg.worker,
-                epoch: epoch as u32,
-                batch: batch as u32,
-                version: 0,
-                loss,
-                grads,
-            };
-            match session.roundtrip(&push)? {
-                ServerMsg::Ack { params, .. } => {
-                    if let Some(params) = params {
-                        world.net.import_param_data(&params)?;
-                    }
-                    *pushes_done += 1;
-                    if cfg.die_after_pushes.is_some_and(|cap| *pushes_done >= cap) {
-                        return Ok(());
-                    }
-                }
-                ServerMsg::Shutdown => return Ok(()),
-                ServerMsg::Error { code, msg } => return Err(server_error(code, msg)),
-                other => {
-                    return Err(DcnError::Corrupt(format!(
-                        "expected Ack, got {}",
-                        other.kind_name()
-                    )))
-                }
-            }
-            since_heartbeat += 1;
-            if since_heartbeat >= 8 {
-                since_heartbeat = 0;
-                let beat = ClientMsg::Heartbeat { worker: cfg.worker };
-                match session.roundtrip(&beat)? {
-                    ServerMsg::Ack { .. } => {}
-                    ServerMsg::Error { code, msg } => return Err(server_error(code, msg)),
-                    ServerMsg::Shutdown => return Ok(()),
-                    other => {
-                        return Err(DcnError::Corrupt(format!(
-                            "expected heartbeat Ack, got {}",
-                            other.kind_name()
-                        )))
-                    }
-                }
-            }
-        }
-    }
-    let done = ClientMsg::Done { worker: cfg.worker };
-    match session.roundtrip(&done)? {
-        ServerMsg::Shutdown | ServerMsg::Ack { .. } => Ok(()),
-        ServerMsg::Error { code, msg } => Err(server_error(code, msg)),
-        other => Err(DcnError::Corrupt(format!(
-            "expected Shutdown, got {}",
-            other.kind_name()
-        ))),
     }
 }

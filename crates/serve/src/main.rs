@@ -15,16 +15,15 @@
 //! closed-loop load generator against an in-process server and writes
 //! throughput plus p50/p99 latency per client count.
 //!
-//! Failures exit with a class-specific code (see
-//! [`DcnError::exit_code`]): `2` configuration, `3` IO, `4` corrupt
-//! state, `5` non-finite values, `6` overloaded, `1` anything else.
+//! Failures exit with a class-specific code from the workspace table,
+//! [`dcn_core::EXIT_CODES`], which `dcn-serve help` prints.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dcn_core::{Dcn, DcnError};
+use dcn_core::{exit_code_legend, Dcn, DcnError};
 use dcn_fault::FaultPlan;
 use dcn_serve::bench::{self, BenchConfig};
 use dcn_serve::{Server, ServerConfig, WireMode};
@@ -243,7 +242,8 @@ fn apply_fault_flags(flags: &HashMap<String, String>) -> Result<(), DcnError> {
 }
 
 fn long_help() -> String {
-    "dcn-serve — concurrent batched serving for a trained DCN
+    format!(
+        "dcn-serve — concurrent batched serving for a trained DCN
 
 commands:
   serve   answer classify requests over TCP until killed
@@ -286,9 +286,9 @@ fault injection: --fault-seed N  --fault-io P  --fault-latency-ns N
 per-request vote budgets ride in the request frame itself (max votes,
 deadline, quorum) — see DESIGN.md §12 for the wire layout.
 
-exit codes: 0 ok, 2 configuration, 3 io, 4 corrupt state, 5 non-finite,
-6 overloaded, 7 peer lost, 8 quorum lost, 1 other"
-        .to_string()
+{}",
+        exit_code_legend()
+    )
 }
 
 /// Parses `--key value` pairs; rejects unknown shapes early.

@@ -9,8 +9,9 @@
 //!   bounded retry/reconnect, and the BSP answer stays bitwise unchanged.
 //! * **Retry determinism** — two runs under the same fault plan produce
 //!   identical outcomes and identical observability counters.
-//! * **Async degradation** — losing a worker above quorum degrades
-//!   gracefully; falling below quorum is a typed `QuorumLost` (exit 8).
+//! * **In-band abort** — a run that fails server-side (an epoch checkpoint
+//!   that cannot be written) returns the typed error from `join` and tells
+//!   every live worker with a typed `Error` frame.
 //!
 //! Every test takes the shared plan lock: the fault plan and the obs
 //! toggle are process globals, and runs must not observe a neighboring
@@ -23,9 +24,7 @@ use std::time::Duration;
 use dcn_core::DcnError;
 use dcn_fault::FaultPlan;
 use dcn_nn::{Adam, TrainConfig, Trainer};
-use dcn_ps::{
-    build_job, run_worker, serve, Mode, ServerConfig, TrainSummary, WorkerConfig,
-};
+use dcn_ps::{build_job, run_worker, serve, ServerConfig, TrainSummary, WorkerConfig};
 
 static PLAN_LOCK: Mutex<()> = Mutex::new(());
 
@@ -115,16 +114,14 @@ fn reference_model_json() -> String {
     net.to_json().expect("reference model json")
 }
 
-fn base_config(mode: Mode, workers: usize) -> ServerConfig {
+fn base_config(workers: usize) -> ServerConfig {
     ServerConfig {
         task: TASK.to_string(),
         n: N,
         epochs: EPOCHS,
         batch_size: BATCH,
         seed: SEED,
-        mode,
         workers,
-        min_quorum: 1,
         lr: LR,
         straggler: Duration::from_millis(400),
         ..ServerConfig::default()
@@ -152,7 +149,7 @@ fn bsp_final_model_is_bitwise_identical_to_single_process() {
     dcn_fault::set_plan(None);
     let reference = reference_model_json();
     for workers in [1usize, 2, 4] {
-        let (summary, model) = run_job(base_config(Mode::Bsp, workers), workers);
+        let (summary, model) = run_job(base_config(workers), workers);
         assert_eq!(
             model, reference,
             "BSP with {workers} workers diverged from the single-process model"
@@ -176,7 +173,7 @@ fn bsp_survives_worker_death_and_respawn_bitwise() {
     let out = temp_path("death_model");
     let cfg = ServerConfig {
         out: Some(out.clone()),
-        ..base_config(Mode::Bsp, 2)
+        ..base_config(2)
     };
     let server = serve(cfg).expect("serve");
     let addr = server.addr().to_string();
@@ -237,7 +234,7 @@ fn bsp_resumes_from_shard_checkpoints_after_server_crash() {
     let phase1 = ServerConfig {
         epochs: 1,
         shard_dir: Some(dir.clone()),
-        ..base_config(Mode::Bsp, 1)
+        ..base_config(1)
     };
     run_job(phase1, 1);
 
@@ -248,7 +245,7 @@ fn bsp_resumes_from_shard_checkpoints_after_server_crash() {
     let phase2 = ServerConfig {
         shard_dir: Some(dir.clone()),
         out: Some(out.clone()),
-        ..base_config(Mode::Bsp, 1)
+        ..base_config(1)
     };
     let server = serve(phase2).expect("serve resumed");
     let summary = server.drive_local(1).expect("resumed run");
@@ -292,7 +289,7 @@ fn fault_matrix_every_injector_class_is_survived_bitwise() {
     ];
     for (name, plan) in plans {
         dcn_fault::set_plan(Some(plan));
-        let cfg = base_config(Mode::Bsp, 2);
+        let cfg = base_config(2);
         let out = temp_path("fault_model");
         let cfg = ServerConfig {
             out: Some(out.clone()),
@@ -373,82 +370,43 @@ fn retries_are_deterministic_across_identical_runs() {
 }
 
 #[test]
-fn async_degrades_gracefully_above_quorum() {
+fn failed_checkpoint_aborts_the_run_and_tells_every_worker() {
     let _guard = lock();
     dcn_fault::set_plan(None);
+    // A shard directory that is an existing regular file: `load` finds no
+    // manifest and starts fresh, then the first epoch checkpoint fails at
+    // `ps.shard.mkdir`.
+    let not_a_dir = temp_path("shard_dir_is_a_file");
+    std::fs::write(&not_a_dir, b"not a directory").expect("write blocker file");
     let cfg = ServerConfig {
-        min_quorum: 1,
-        straggler: Duration::from_millis(600),
-        ..base_config(Mode::Async, 2)
+        shard_dir: Some(not_a_dir.clone()),
+        ..base_config(2)
     };
     let server = serve(cfg).expect("serve");
     let addr = server.addr().to_string();
-    let dying = WorkerConfig {
-        addr: addr.clone(),
-        worker: 0,
-        die_after_pushes: Some(1),
-        ..WorkerConfig::default()
-    };
-    let healthy = WorkerConfig {
-        addr,
-        worker: 1,
-        ..WorkerConfig::default()
-    };
-    let h_dying = std::thread::spawn(move || run_worker(&dying));
-    let h_healthy = std::thread::spawn(move || run_worker(&healthy));
-    let summary = server.join().expect("degraded run still completes");
-    h_dying.join().expect("thread").expect("dying worker");
-    h_healthy.join().expect("thread").expect("healthy worker");
-    assert_eq!(summary.workers_lost, 1);
+    let handles: Vec<_> = (0..2u32)
+        .map(|w| {
+            let wcfg = WorkerConfig {
+                addr: addr.clone(),
+                worker: w,
+                ..WorkerConfig::default()
+            };
+            std::thread::spawn(move || run_worker(&wcfg))
+        })
+        .collect();
+    let err = server
+        .join()
+        .expect_err("a failed checkpoint must abort the run");
+    let _ = std::fs::remove_file(&not_a_dir);
     assert!(
-        summary.degraded_batches > 0,
-        "a dead partition must be reported as degraded batches"
-    );
-    assert!(summary.accuracy.is_finite());
-}
-
-#[test]
-fn async_below_quorum_is_a_typed_quorum_lost() {
-    let _guard = lock();
-    dcn_fault::set_plan(None);
-    let cfg = ServerConfig {
-        min_quorum: 2,
-        straggler: Duration::from_millis(600),
-        // Enough epochs that the survivor is still mid-run when the other
-        // worker's death (noticed within milliseconds of its first push)
-        // breaks quorum — so the in-band error propagation is exercised.
-        epochs: 8,
-        ..base_config(Mode::Async, 2)
-    };
-    let server = serve(cfg).expect("serve");
-    let addr = server.addr().to_string();
-    let dying = WorkerConfig {
-        addr: addr.clone(),
-        worker: 0,
-        die_after_pushes: Some(1),
-        ..WorkerConfig::default()
-    };
-    let healthy = WorkerConfig {
-        addr,
-        worker: 1,
-        ..WorkerConfig::default()
-    };
-    let h_dying = std::thread::spawn(move || run_worker(&dying));
-    let h_healthy = std::thread::spawn(move || run_worker(&healthy));
-    let err = server.join().expect_err("losing quorum must fail the run");
-    h_dying.join().expect("thread").expect("dying worker");
-    assert!(
-        matches!(err, DcnError::QuorumLost { alive: 0 | 1, quorum: 2 }),
+        matches!(&err, DcnError::Io { site, .. } if site == "ps.shard.mkdir"),
         "got {err:?}"
     );
-    assert_eq!(err.exit_code(), 8);
-    // The surviving worker is told, in-band, that the run lost quorum.
-    let healthy_err = h_healthy
-        .join()
-        .expect("thread")
-        .expect_err("survivor must see the typed failure");
-    assert!(
-        matches!(healthy_err, DcnError::QuorumLost { .. }),
-        "got {healthy_err:?}"
-    );
+    assert_eq!(err.exit_code(), 3);
+    // Both workers learn of the abort in-band and exit with an error
+    // instead of hanging or reporting success.
+    for (w, h) in handles.into_iter().enumerate() {
+        let outcome = h.join().expect("worker thread");
+        assert!(outcome.is_err(), "worker {w} returned {outcome:?}");
+    }
 }

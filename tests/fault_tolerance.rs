@@ -94,7 +94,9 @@ fn injected_io_errors_surface_as_typed_errors() {
     let mut rng = StdRng::seed_from_u64(3);
     let net = models::mlp(4, 8, 3, &mut rng).unwrap();
     let path = scratch("io_inject.json");
-    net.save(&path).unwrap();
+    // Save and reload under the lock with no plan installed: outside it, a
+    // neighbouring test's plan (e.g. `nan_rate: 1.0`) could poison either.
+    with_plan(None, || net.save(&path)).unwrap();
 
     let plan = FaultPlan {
         io_error_rate: 1.0,
@@ -110,7 +112,7 @@ fn injected_io_errors_surface_as_typed_errors() {
     });
 
     // With the plan cleared, the same file loads fine.
-    assert_eq!(Network::load(&path).unwrap(), net);
+    assert_eq!(with_plan(None, || Network::load(&path)).unwrap(), net);
 }
 
 #[test]
