@@ -27,8 +27,8 @@ use dcn_tensor::{scratch, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::corrector::BoundedVote;
-use crate::{Dcn, DcnError, DcnReport, DcnVerdict, QuantizedDetector, VoteBudget};
+use crate::dcn::{observe_report, vote_report};
+use crate::{BoundedVote, Dcn, DcnError, DcnReport, DcnVerdict, VoteBudget};
 
 /// One classify request inside a cross-request batch.
 #[derive(Debug, Clone)]
@@ -83,25 +83,6 @@ impl Dcn {
         &self,
         requests: &[BatchRequest],
     ) -> Vec<std::result::Result<DcnReport, DcnError>> {
-        self.try_classify_batch_with(requests, None)
-    }
-
-    /// [`Dcn::try_classify_batch`] with an optional int8 detector screen.
-    ///
-    /// With `int8: Some(q)`, the per-request detector verdicts come from
-    /// one quantized batch forward through `q` (built once at load via
-    /// [`crate::Detector::quantized`]) instead of per-row f32 passes.
-    /// Verdicts are tolerance-tested against the f32 path, not bitwise —
-    /// a request whose detector score sits exactly on the decision boundary
-    /// may route differently, which is why the switch is an explicit
-    /// serving opt-in (`DCN_INT8_DETECTOR=1`). Everything downstream of the
-    /// verdict (vote streams, budgets, shedding, error semantics) is
-    /// unchanged.
-    pub fn try_classify_batch_with(
-        &self,
-        requests: &[BatchRequest],
-        int8: Option<&QuantizedDetector>,
-    ) -> Vec<std::result::Result<DcnReport, DcnError>> {
         let _span = dcn_obs::span("dcn.classify_batch");
         let n = requests.len();
         if n == 0 {
@@ -152,38 +133,6 @@ impl Dcn {
             }
         };
 
-        // Int8 screen: one quantized forward flags every finite non-shed
-        // row up front. Indexed by position in `batched`; `None` slots
-        // (shed, non-finite, row errors) resolve in the routing loop. A
-        // screen-level failure falls back to the per-row f32 path rather
-        // than poisoning the batch — the quantized head is an optimization,
-        // never a new failure mode.
-        let int8_flags: Option<Vec<Option<bool>>> = match (int8, &logits) {
-            (Some(q), Some(logits)) => {
-                let mut rows: Vec<Tensor> = Vec::new();
-                let mut row_slots: Vec<usize> = Vec::new();
-                for (row_idx, &i) in batched.iter().enumerate() {
-                    if requests[i].shed {
-                        continue;
-                    }
-                    if let Ok(row) = logits.row(row_idx) {
-                        if row.all_finite() {
-                            rows.push(row);
-                            row_slots.push(row_idx);
-                        }
-                    }
-                }
-                q.flag_batch(&rows).ok().map(|flags| {
-                    let mut slots = vec![None; batched.len()];
-                    for (slot, flag) in row_slots.into_iter().zip(flags) {
-                        slots[slot] = Some(flag);
-                    }
-                    slots
-                })
-            }
-            _ => None,
-        };
-
         // Route each batched request: shed / pass-through now, vote later.
         let m = self.corrector().samples();
         let fault_active = dcn_fault::enabled();
@@ -215,12 +164,7 @@ impl Dcn {
                     });
                     continue;
                 }
-                let precomputed = int8_flags
-                    .as_ref()
-                    .and_then(|slots| slots[row_idx]);
-                let flagged = if let Some(f) = precomputed {
-                    f
-                } else if finite {
+                let flagged = if finite {
                     match self.detector().is_adversarial(&row) {
                         Ok(f) => f,
                         Err(e) => {
@@ -286,9 +230,14 @@ impl Dcn {
                 }) {
                 Ok(labels) => {
                     for (k, (i, row)) in fast_votes.iter().enumerate() {
-                        let vote = tally(&labels[k * m..(k + 1) * m], self.base().class_count());
-                        observe_vote(&vote);
-                        out[*i] = Some(self.vote_report(row, &vote, &requests[*i].budget));
+                        let vote = BoundedVote::tally(
+                            &labels[k * m..(k + 1) * m],
+                            self.base().class_count(),
+                            m,
+                        );
+                        out[*i] = Some(
+                            vote_report(row, &vote, &requests[*i].budget).map_err(DcnError::from),
+                        );
                     }
                 }
                 Err(e) => {
@@ -307,8 +256,8 @@ impl Dcn {
             out[*i] = Some(
                 self.corrector()
                     .vote_counts_bounded(self.base(), &req.x, &mut rng, &req.budget)
-                    .map_err(DcnError::from)
-                    .and_then(|vote| self.vote_report(row, &vote, &req.budget)),
+                    .and_then(|vote| vote_report(row, &vote, &req.budget))
+                    .map_err(DcnError::from),
             );
         }
 
@@ -335,53 +284,8 @@ impl Dcn {
                 })
             })
             .collect();
-        if dcn_obs::enabled() {
-            use dcn_obs::names;
-            for r in results.iter().flatten() {
-                dcn_obs::counter(names::DCN_QUERIES_TOTAL).inc();
-                match r.verdict {
-                    DcnVerdict::PassedThrough => {
-                        dcn_obs::counter(names::DCN_PASSED_THROUGH_TOTAL).inc();
-                    }
-                    DcnVerdict::Corrected => {
-                        dcn_obs::counter(names::DCN_CORRECTED_TOTAL).inc();
-                    }
-                }
-                dcn_obs::counter(names::DCN_BASE_PASSES_TOTAL).add(r.base_passes as u64);
-                if r.degraded {
-                    dcn_obs::counter(names::DCN_DEGRADED_TOTAL).inc();
-                }
-            }
-        }
+        results.iter().flatten().for_each(observe_report);
         results
-    }
-
-    /// Quorum ladder shared by the fast and bounded vote paths — the exact
-    /// logic of [`Dcn::classify_bounded`]'s corrected branch.
-    fn vote_report(
-        &self,
-        row: &Tensor,
-        vote: &BoundedVote,
-        budget: &VoteBudget,
-    ) -> std::result::Result<DcnReport, DcnError> {
-        if vote.votes_cast >= budget.min_quorum.max(1) {
-            Ok(DcnReport {
-                label: vote.mode,
-                verdict: DcnVerdict::Corrected,
-                base_passes: 1 + vote.votes_cast,
-                degraded: vote.truncated,
-            })
-        } else {
-            if dcn_obs::enabled() {
-                dcn_obs::counter(dcn_obs::names::DCN_FALLBACK_TOTAL).inc();
-            }
-            Ok(DcnReport {
-                label: row.argmax().map_err(dcn_nn::NnError::from)?,
-                verdict: DcnVerdict::Corrected,
-                base_passes: 1 + vote.votes_cast,
-                degraded: true,
-            })
-        }
     }
 }
 
@@ -404,52 +308,6 @@ fn passthrough_report(row: &Tensor) -> std::result::Result<DcnReport, DcnError> 
         base_passes: 1,
         degraded: false,
     })
-}
-
-/// Vote histogram over one request's slice of the stacked labels — the same
-/// count/mode computation as `Corrector::vote_counts`.
-fn tally(labels: &[usize], class_count: usize) -> BoundedVote {
-    let k = class_count.max(labels.iter().copied().max().unwrap_or(0) + 1);
-    let mut counts = vec![0usize; k];
-    for &l in labels {
-        counts[l] += 1;
-    }
-    let mode = counts
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, c)| c)
-        .map(|(i, _)| i)
-        .unwrap_or(0);
-    BoundedVote {
-        mode,
-        counts,
-        votes_cast: labels.len(),
-        truncated: false,
-    }
-}
-
-/// Mirrors the corrector's per-vote observability so batched corrections
-/// account identically to serial ones.
-fn observe_vote(vote: &BoundedVote) {
-    if !dcn_obs::enabled() {
-        return;
-    }
-    use dcn_obs::names;
-    dcn_obs::counter(names::CORRECTOR_INVOCATIONS_TOTAL).inc();
-    dcn_obs::counter(names::CORRECTOR_VOTES_TOTAL).add(vote.votes_cast as u64);
-    if vote.votes_cast > 0 {
-        let top = vote.counts[vote.mode];
-        let runner_up = vote
-            .counts
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != vote.mode)
-            .map(|(_, &c)| c)
-            .max()
-            .unwrap_or(0);
-        dcn_obs::histogram(names::CORRECTOR_VOTE_MARGIN, dcn_obs::FRACTION)
-            .observe((top - runner_up) as f64 / vote.votes_cast as f64);
-    }
 }
 
 #[cfg(test)]
@@ -648,40 +506,5 @@ mod tests {
     fn empty_batch_is_a_no_op() {
         let dcn = setup();
         assert!(dcn.try_classify_batch(&[]).is_empty());
-    }
-
-    #[test]
-    fn int8_screen_agrees_with_f32_on_mixed_traffic() {
-        let dcn = setup();
-        let quant = dcn.detector().quantized().unwrap();
-        let requests = mixed_requests();
-        let f32_path = dcn.try_classify_batch(&requests);
-        let int8_path = dcn.try_classify_batch_with(&requests, Some(&quant));
-        // The fixture's examples sit far from the detector boundary, so the
-        // quantized screen routes every request identically — and identical
-        // verdicts mean identical reports (same seeds, same votes).
-        assert_eq!(int8_path, f32_path);
-        let verdicts: Vec<_> = int8_path.iter().map(|r| r.as_ref().unwrap().verdict).collect();
-        assert!(verdicts.contains(&DcnVerdict::PassedThrough));
-        assert!(verdicts.contains(&DcnVerdict::Corrected));
-    }
-
-    #[test]
-    fn int8_screen_preserves_shed_and_error_semantics() {
-        let dcn = setup();
-        let quant = dcn.detector().quantized().unwrap();
-        let mut requests = mixed_requests();
-        requests[0].shed = true;
-        requests[2] = BatchRequest::new(Tensor::from_slice(&[0.0, 0.0]), 1); // bad shape
-        let results = dcn.try_classify_batch_with(&requests, Some(&quant));
-        let shed = results[0].as_ref().unwrap();
-        assert!(shed.degraded);
-        assert_eq!(shed.base_passes, 1);
-        assert!(results[2].is_err());
-        for (i, r) in results.iter().enumerate() {
-            if i != 2 {
-                assert!(r.is_ok(), "request {i} poisoned by the int8 screen");
-            }
-        }
     }
 }

@@ -68,6 +68,57 @@ pub struct BoundedVote {
     pub truncated: bool,
 }
 
+impl BoundedVote {
+    /// Tallies the labels of the votes cast out of a nominal `m` into a
+    /// histogram and its mode (ties go to the highest label), and records
+    /// the corrector's per-vote telemetry. Every vote path — unbounded,
+    /// bounded and the cross-request batch — ends here, so all of them
+    /// count and account identically.
+    pub(crate) fn tally(labels: &[usize], class_count: usize, m: usize) -> BoundedVote {
+        let k = class_count.max(labels.iter().copied().max().unwrap_or(0) + 1);
+        let mut counts = vec![0usize; k];
+        for &l in labels {
+            counts[l] += 1;
+        }
+        let mode = counts
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, c)| c)
+            .map(|(i, _)| i)
+            .unwrap_or(0);
+        let votes_cast = labels.len();
+        let truncated = votes_cast < m;
+        if dcn_obs::enabled() {
+            use dcn_obs::names;
+            dcn_obs::counter(names::CORRECTOR_INVOCATIONS_TOTAL).inc();
+            // Record the votes actually cast, not the nominal `m`, so cost
+            // accounting stays honest when a budget truncates the vote.
+            dcn_obs::counter(names::CORRECTOR_VOTES_TOTAL).add(votes_cast as u64);
+            if truncated {
+                dcn_obs::counter(names::CORRECTOR_TRUNCATED_TOTAL).inc();
+            }
+            if votes_cast > 0 {
+                let top = counts[mode];
+                let runner_up = counts
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i != mode)
+                    .map(|(_, &c)| c)
+                    .max()
+                    .unwrap_or(0);
+                dcn_obs::histogram(names::CORRECTOR_VOTE_MARGIN, dcn_obs::FRACTION)
+                    .observe((top - runner_up) as f64 / votes_cast as f64);
+            }
+        }
+        BoundedVote {
+            mode,
+            counts,
+            votes_cast,
+            truncated,
+        }
+    }
+}
+
 /// Majority-vote label recovery over a hypercube around the input.
 ///
 /// Given an input `x` flagged as adversarial, the corrector samples `m`
@@ -191,6 +242,18 @@ impl Corrector {
         x: &Tensor,
         rng: &mut R,
     ) -> Result<(usize, Vec<usize>)> {
+        let vote = self.full_vote(base, x, rng)?;
+        Ok((vote.mode, vote.counts))
+    }
+
+    /// The unbounded vote behind [`Corrector::vote_counts`]: all `m`
+    /// samples, classified as one batch.
+    fn full_vote<C: Classifier + Sync + ?Sized, R: Rng + ?Sized>(
+        &self,
+        base: &C,
+        x: &Tensor,
+        rng: &mut R,
+    ) -> Result<BoundedVote> {
         let _span = dcn_obs::span("corrector.vote");
         // All noise is drawn up front on the calling thread, directly into
         // one pre-stacked `[m, …]` batch buffer from the scratch pool — no
@@ -237,39 +300,7 @@ impl Corrector {
             labels
         };
         scratch::recycle(batch.into_vec());
-        let k = base.class_count().max(labels.iter().copied().max().unwrap_or(0) + 1);
-        let mut counts = vec![0usize; k];
-        for l in labels {
-            counts[l] += 1;
-        }
-        let mode = counts
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, c)| c)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        if dcn_obs::enabled() {
-            use dcn_obs::names;
-            dcn_obs::counter(names::CORRECTOR_INVOCATIONS_TOTAL).inc();
-            // Record the votes actually cast (counts sum), not the nominal
-            // `m`, so cost accounting stays honest if the sampling loop ever
-            // gains an early exit.
-            let votes: usize = counts.iter().sum();
-            dcn_obs::counter(names::CORRECTOR_VOTES_TOTAL).add(votes as u64);
-            if votes > 0 {
-                let top = counts[mode];
-                let runner_up = counts
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != mode)
-                    .map(|(_, &c)| c)
-                    .max()
-                    .unwrap_or(0);
-                dcn_obs::histogram(names::CORRECTOR_VOTE_MARGIN, dcn_obs::FRACTION)
-                    .observe((top - runner_up) as f64 / votes as f64);
-            }
-        }
-        Ok((mode, counts))
+        Ok(BoundedVote::tally(&labels, base.class_count(), m))
     }
 
     /// Budget-bounded majority vote: like [`Corrector::vote_counts`] but
@@ -282,7 +313,7 @@ impl Corrector {
     ///   exactly as the unbounded path draws them, whether or not the vote
     ///   later truncates — so a bounded and an unbounded call consume the
     ///   same rng state, and an unbounded budget is bitwise-identical to
-    ///   [`Corrector::vote_counts`] (it literally delegates to it).
+    ///   [`Corrector::vote_counts`] (both run the same full vote).
     /// * **Deterministic truncation under test.** Each vote ticks a
     ///   [`dcn_fault::FaultClock`]; under injected latency the clock is
     ///   virtual, so the deadline cuts the vote at the same sample index on
@@ -308,14 +339,7 @@ impl Corrector {
             .min(m);
         if cap >= m && budget.deadline.is_none() && forced.is_none() && !dcn_fault::enabled() {
             // Unbounded and no injection: the historic fast path, bitwise.
-            let (mode, counts) = self.vote_counts(base, x, rng)?;
-            let votes_cast = counts.iter().sum();
-            return Ok(BoundedVote {
-                mode,
-                counts,
-                votes_cast,
-                truncated: false,
-            });
+            return self.full_vote(base, x, rng);
         }
         let _span = dcn_obs::span("corrector.vote_bounded");
         // Draw ALL m samples up front with the exact loop the unbounded
@@ -351,47 +375,7 @@ impl Corrector {
             start += n;
         }
         scratch::recycle(batch_buf);
-        let votes_cast = labels.len();
-        let truncated = votes_cast < m;
-        let k = base
-            .class_count()
-            .max(labels.iter().copied().max().unwrap_or(0) + 1);
-        let mut counts = vec![0usize; k];
-        for l in labels {
-            counts[l] += 1;
-        }
-        let mode = counts
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, c)| c)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        if dcn_obs::enabled() {
-            use dcn_obs::names;
-            dcn_obs::counter(names::CORRECTOR_INVOCATIONS_TOTAL).inc();
-            dcn_obs::counter(names::CORRECTOR_VOTES_TOTAL).add(votes_cast as u64);
-            if truncated {
-                dcn_obs::counter(names::CORRECTOR_TRUNCATED_TOTAL).inc();
-            }
-            if votes_cast > 0 {
-                let top = counts[mode];
-                let runner_up = counts
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != mode)
-                    .map(|(_, &c)| c)
-                    .max()
-                    .unwrap_or(0);
-                dcn_obs::histogram(names::CORRECTOR_VOTE_MARGIN, dcn_obs::FRACTION)
-                    .observe((top - runner_up) as f64 / votes_cast as f64);
-            }
-        }
-        Ok(BoundedVote {
-            mode,
-            counts,
-            votes_cast,
-            truncated,
-        })
+        Ok(BoundedVote::tally(&labels, base.class_count(), m))
     }
 }
 

@@ -5,7 +5,7 @@ use dcn_tensor::Tensor;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::{Corrector, DcnError, Detector, Result, VoteBudget};
+use crate::{BoundedVote, Corrector, DcnError, Detector, Result, VoteBudget};
 
 /// How the DCN arrived at a label — useful for cost accounting and the
 /// paper's workflow figures (Figs. 2 and 3).
@@ -136,26 +136,7 @@ impl Dcn {
             let vote = self
                 .corrector
                 .vote_counts_bounded(&self.base, x, rng, budget)?;
-            if vote.votes_cast >= budget.min_quorum.max(1) {
-                DcnReport {
-                    label: vote.mode,
-                    verdict: DcnVerdict::Corrected,
-                    base_passes: 1 + vote.votes_cast,
-                    degraded: vote.truncated,
-                }
-            } else {
-                // Below quorum: the partial vote is too thin to trust, so
-                // return the base network's own answer, marked degraded.
-                if dcn_obs::enabled() {
-                    dcn_obs::counter(dcn_obs::names::DCN_FALLBACK_TOTAL).inc();
-                }
-                DcnReport {
-                    label: logits.argmax().map_err(dcn_nn::NnError::from)?,
-                    verdict: DcnVerdict::Corrected,
-                    base_passes: 1 + vote.votes_cast,
-                    degraded: true,
-                }
-            }
+            vote_report(&logits, &vote, budget)?
         } else {
             DcnReport {
                 label: logits.argmax().map_err(dcn_nn::NnError::from)?,
@@ -164,22 +145,7 @@ impl Dcn {
                 degraded: false,
             }
         };
-        if dcn_obs::enabled() {
-            use dcn_obs::names;
-            dcn_obs::counter(names::DCN_QUERIES_TOTAL).inc();
-            match report.verdict {
-                DcnVerdict::PassedThrough => {
-                    dcn_obs::counter(names::DCN_PASSED_THROUGH_TOTAL).inc();
-                }
-                DcnVerdict::Corrected => {
-                    dcn_obs::counter(names::DCN_CORRECTED_TOTAL).inc();
-                }
-            }
-            dcn_obs::counter(names::DCN_BASE_PASSES_TOTAL).add(report.base_passes as u64);
-            if report.degraded {
-                dcn_obs::counter(names::DCN_DEGRADED_TOTAL).inc();
-            }
-        }
+        observe_report(&report);
         Ok(report)
     }
 
@@ -244,6 +210,57 @@ impl Dcn {
     /// The corrector component.
     pub fn corrector(&self) -> &Corrector {
         &self.corrector
+    }
+}
+
+/// The corrected branch's quorum ladder, shared by the serial and batched
+/// paths: the vote's mode when at least `min_quorum` votes were cast
+/// (degraded if the budget truncated the vote), otherwise the base
+/// network's own answer from `logits`, marked degraded.
+pub(crate) fn vote_report(
+    logits: &Tensor,
+    vote: &BoundedVote,
+    budget: &VoteBudget,
+) -> Result<DcnReport> {
+    if vote.votes_cast >= budget.min_quorum.max(1) {
+        return Ok(DcnReport {
+            label: vote.mode,
+            verdict: DcnVerdict::Corrected,
+            base_passes: 1 + vote.votes_cast,
+            degraded: vote.truncated,
+        });
+    }
+    // Below quorum: the partial vote is too thin to trust.
+    if dcn_obs::enabled() {
+        dcn_obs::counter(dcn_obs::names::DCN_FALLBACK_TOTAL).inc();
+    }
+    Ok(DcnReport {
+        label: logits.argmax().map_err(dcn_nn::NnError::from)?,
+        verdict: DcnVerdict::Corrected,
+        base_passes: 1 + vote.votes_cast,
+        degraded: true,
+    })
+}
+
+/// Records one answered query in the `dcn.*` counters, for the serial and
+/// batched paths alike.
+pub(crate) fn observe_report(report: &DcnReport) {
+    if !dcn_obs::enabled() {
+        return;
+    }
+    use dcn_obs::names;
+    dcn_obs::counter(names::DCN_QUERIES_TOTAL).inc();
+    match report.verdict {
+        DcnVerdict::PassedThrough => {
+            dcn_obs::counter(names::DCN_PASSED_THROUGH_TOTAL).inc();
+        }
+        DcnVerdict::Corrected => {
+            dcn_obs::counter(names::DCN_CORRECTED_TOTAL).inc();
+        }
+    }
+    dcn_obs::counter(names::DCN_BASE_PASSES_TOTAL).add(report.base_passes as u64);
+    if report.degraded {
+        dcn_obs::counter(names::DCN_DEGRADED_TOTAL).inc();
     }
 }
 

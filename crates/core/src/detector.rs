@@ -2,7 +2,7 @@
 //! the base network's logits.
 
 use dcn_attacks::TargetedAttack;
-use dcn_nn::{metrics, Adam, Dense, Layer, Network, QuantMlp, Relu, TrainConfig, Trainer};
+use dcn_nn::{metrics, Adam, Dense, Layer, Network, Relu, TrainConfig, Trainer};
 use dcn_tensor::Tensor;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -331,44 +331,6 @@ impl Detector {
         })
     }
 
-    /// Quantizes the detector head for the int8 serving fast path.
-    ///
-    /// The returned [`QuantizedDetector`] snapshots the trained weights
-    /// with per-tensor symmetric int8 quantization (done once, at load);
-    /// canonicalization (sort + z-score) and verdict semantics are shared
-    /// with the f32 path. Its verdicts are tolerance-tested against
-    /// [`Detector::flag_batch`] — near the decision boundary a quantized
-    /// score may cross it, which is why the path is an explicit opt-in.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DefenseError::BadData`] if the detector network is not the
-    /// standard `Dense → ReLU → Dense` head (custom architectures keep the
-    /// f32 path).
-    pub fn quantized(&self) -> Result<QuantizedDetector> {
-        let mlp = QuantMlp::from_network(&self.net)
-            .map_err(|e| DefenseError::BadData(format!("int8 detector: {e}")))?;
-        Ok(QuantizedDetector {
-            mlp,
-            mean: self.mean.clone(),
-            std: self.std.clone(),
-            sort_logits: self.sort_logits,
-        })
-    }
-
-    /// Batch scoring through a freshly quantized head — the tolerance-test
-    /// entry point matching [`Detector::flag_batch`]. Serving paths should
-    /// build one [`Detector::quantized`] snapshot at load and call
-    /// [`QuantizedDetector::flag_batch`] instead of paying quantization per
-    /// batch.
-    ///
-    /// # Errors
-    ///
-    /// As [`Detector::quantized`] and [`QuantizedDetector::flag_batch`].
-    pub fn flag_batch_quant(&self, logits: &[Tensor]) -> Result<Vec<bool>> {
-        self.quantized()?.flag_batch(logits)
-    }
-
     /// The underlying two-layer network (for inspection and persistence).
     pub fn network(&self) -> &Network {
         &self.net
@@ -422,86 +384,6 @@ impl Detector {
             g.data_mut()[p] = gcanon.data()[i] / self.std[i];
         }
         Ok((score, g))
-    }
-}
-
-/// The int8-quantized detector head (see [`Detector::quantized`]).
-///
-/// Holds the transpose-packed int8 weights plus the f32 canonicalization
-/// statistics; logits are canonicalized exactly as the f32 path does, then
-/// scored through [`QuantMlp`] (per-row dynamic activation quantization,
-/// exact integer accumulation). Derived data — rebuild from the
-/// [`Detector`] after loading, nothing here is persisted.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedDetector {
-    mlp: QuantMlp,
-    mean: Vec<f32>,
-    std: Vec<f32>,
-    sort_logits: bool,
-}
-
-impl QuantizedDetector {
-    fn canonicalize(&self, logits: &Tensor) -> Tensor {
-        let mut out = if self.sort_logits {
-            sort_desc(logits)
-        } else {
-            logits.clone()
-        };
-        for (i, v) in out.data_mut().iter_mut().enumerate() {
-            *v = (*v - self.mean[i]) / self.std[i];
-        }
-        out
-    }
-
-    /// Whether a logit vector is flagged as adversarial, under the same
-    /// validation and fail-closed non-finite contract as
-    /// [`Detector::is_adversarial`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Detector::is_adversarial`].
-    pub fn is_adversarial(&self, logits: &Tensor) -> Result<bool> {
-        Ok(self.flag_batch(std::slice::from_ref(logits))?[0])
-    }
-
-    /// Batch scoring through the quantized head: one int8 forward for the
-    /// whole batch. Per-row activation scales keep every verdict
-    /// independent of the batch's composition.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DefenseError::BadData`] for wrong-width logits and
-    /// [`DefenseError::NonFinite`] if any vector contains NaN or infinity
-    /// (quantizing a non-finite row is meaningless; callers on the serving
-    /// path screen finiteness first and fail closed).
-    pub fn flag_batch(&self, logits: &[Tensor]) -> Result<Vec<bool>> {
-        if logits.is_empty() {
-            return Ok(Vec::new());
-        }
-        for t in logits {
-            if t.len() != self.mean.len() || t.rank() != 1 {
-                return Err(DefenseError::BadData(format!(
-                    "detector expects rank-1 logit vectors of width {}, got {:?}",
-                    self.mean.len(),
-                    t.shape()
-                )));
-            }
-            if !t.all_finite() {
-                return Err(DefenseError::NonFinite(
-                    "logit vector contains NaN or infinity; refusing to score it".into(),
-                ));
-            }
-        }
-        let canon: Vec<Tensor> = logits.iter().map(|t| self.canonicalize(t)).collect();
-        let batch = Tensor::stack(&canon)?;
-        let preds = self.mlp.predict(&batch)?;
-        let flags: Vec<bool> = preds.into_iter().map(|p| p == ADVERSARIAL).collect();
-        if dcn_obs::enabled() {
-            dcn_obs::counter(dcn_obs::names::DETECTOR_EVALUATED_TOTAL).add(flags.len() as u64);
-            dcn_obs::counter(dcn_obs::names::DETECTOR_FLAGGED_TOTAL)
-                .add(flags.iter().filter(|&&f| f).count() as u64);
-        }
-        Ok(flags)
     }
 }
 
@@ -578,87 +460,6 @@ mod tests {
             det.is_adversarial(&benign[0]).unwrap(),
             back.is_adversarial(&benign[0]).unwrap()
         );
-    }
-
-    /// The pinned int8 tolerance: on held-out eval sets the quantized
-    /// detector must agree with the f32 path on at least this fraction of
-    /// verdicts. The detector's margins are wide except at the decision
-    /// boundary, so in practice agreement is ≫ this floor.
-    const INT8_AGREEMENT_FLOOR: f32 = 0.98;
-
-    #[test]
-    fn quantized_detector_agrees_with_f32_within_pinned_tolerance() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let benign = fake_logits(200, false, &mut rng);
-        let adv = fake_logits(200, true, &mut rng);
-        let det =
-            Detector::train_from_logits(&benign, &adv, &DetectorConfig::default(), &mut rng)
-                .unwrap();
-        let quant = det.quantized().unwrap();
-        // Held-out eval sets, both classes.
-        let eval_benign = fake_logits(150, false, &mut rng);
-        let eval_adv = fake_logits(150, true, &mut rng);
-        for (name, set) in [("benign", &eval_benign), ("adversarial", &eval_adv)] {
-            let f32_flags = det.flag_batch(set).unwrap();
-            let q_flags = quant.flag_batch(set).unwrap();
-            let agree = f32_flags
-                .iter()
-                .zip(&q_flags)
-                .filter(|(a, b)| a == b)
-                .count() as f32
-                / set.len() as f32;
-            assert!(
-                agree >= INT8_AGREEMENT_FLOOR,
-                "{name}: int8 agreement {agree} below pinned floor {INT8_AGREEMENT_FLOOR}"
-            );
-        }
-        // The convenience entry point is the same computation.
-        assert_eq!(
-            det.flag_batch_quant(&eval_benign).unwrap(),
-            quant.flag_batch(&eval_benign).unwrap()
-        );
-    }
-
-    #[test]
-    fn quantized_detector_verdicts_are_batch_order_invariant() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let benign = fake_logits(100, false, &mut rng);
-        let adv = fake_logits(100, true, &mut rng);
-        let det =
-            Detector::train_from_logits(&benign, &adv, &DetectorConfig::default(), &mut rng)
-                .unwrap();
-        let quant = det.quantized().unwrap();
-        let mut eval = fake_logits(20, false, &mut rng);
-        eval.extend(fake_logits(20, true, &mut rng));
-        let forward = quant.flag_batch(&eval).unwrap();
-        let mut reversed: Vec<Tensor> = eval.clone();
-        reversed.reverse();
-        let mut backward = quant.flag_batch(&reversed).unwrap();
-        backward.reverse();
-        assert_eq!(forward, backward);
-        // Singles match the batch exactly (per-row scales, no cross-talk).
-        for (t, &flag) in eval.iter().zip(&forward) {
-            assert_eq!(quant.is_adversarial(t).unwrap(), flag);
-        }
-    }
-
-    #[test]
-    fn quantized_detector_keeps_the_fail_closed_contracts() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let benign = fake_logits(50, false, &mut rng);
-        let adv = fake_logits(50, true, &mut rng);
-        let det =
-            Detector::train_from_logits(&benign, &adv, &DetectorConfig::default(), &mut rng)
-                .unwrap();
-        let quant = det.quantized().unwrap();
-        assert!(quant.is_adversarial(&Tensor::zeros(&[3])).is_err());
-        let mut bad = benign[0].clone();
-        bad.data_mut()[0] = f32::NAN;
-        assert!(matches!(
-            quant.is_adversarial(&bad),
-            Err(DefenseError::NonFinite(_))
-        ));
-        assert!(quant.flag_batch(&[]).unwrap().is_empty());
     }
 
     #[test]

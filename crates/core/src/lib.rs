@@ -70,7 +70,7 @@ pub use cost::CountingClassifier;
 pub use dcn::{Dcn, DcnReport, DcnVerdict};
 pub use error::{exit_code_legend, DcnError, EXIT_CODES};
 pub use defense::{attack_success_against, defense_accuracy, Defense, StandardDefense};
-pub use detector::{Detector, DetectorConfig, DetectorReport, QuantizedDetector};
+pub use detector::{Detector, DetectorConfig, DetectorReport};
 pub use distill::{distill, DistillConfig};
 pub use magnet::{MagNet, MagNetConfig};
 pub use region::RegionClassifier;

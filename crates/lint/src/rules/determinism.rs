@@ -16,13 +16,6 @@
 //!   run to run (use `BTreeMap`/`BTreeSet` or vectors);
 //! * OS entropy — `thread_rng`/`from_entropy` (all randomness flows from
 //!   seeded `StdRng` streams).
-//!
-//! `quant` modules carry one extra obligation: quantization is a
-//! tolerance-tested boundary whose *interior* must be bit-stable across
-//! machines, so transcendental float methods (`exp`, `ln`, `sin`, `powf`,
-//! …) — whose results depend on the platform's libm — are additionally
-//! banned there. Exact IEEE operations (`sqrt`, `round`, `mul_add`,
-//! `copysign`, arithmetic) stay legal.
 
 use super::{Rule, NUMERIC_CRATES};
 use crate::findings::Finding;
@@ -36,23 +29,6 @@ const FORBIDDEN_IDENTS: &[(&str, &str)] = &[
     ("thread_rng", "OS entropy"),
     ("from_entropy", "OS entropy"),
 ];
-
-/// Float methods whose results vary with the platform's libm. Only the
-/// transcendentals: correctly-rounded IEEE operations (`sqrt`, `round`,
-/// `mul_add`, `floor`, `ceil`) are exact everywhere and stay allowed.
-const TRANSCENDENTALS: &[&str] = &[
-    "exp", "exp2", "exp_m1", "ln", "ln_1p", "log", "log2", "log10", "sin", "cos", "tan", "asin",
-    "acos", "atan", "atan2", "sinh", "cosh", "tanh", "asinh", "acosh", "atanh", "powf", "cbrt",
-    "hypot",
-];
-
-/// The extra no-transcendentals obligation applies to quantization
-/// modules, identified by file name (`quant.rs`, `quant/...`).
-fn is_quant_module(path: &str) -> bool {
-    path.rsplit('/')
-        .next()
-        .is_some_and(|name| name.contains("quant"))
-}
 
 /// See the module docs.
 pub struct Determinism;
@@ -75,7 +51,6 @@ impl Rule for Determinism {
     }
 
     fn check_file(&mut self, file: &SourceFile, out: &mut Vec<Finding>) {
-        let quant = is_quant_module(&file.path);
         for i in 0..file.tokens.len() {
             if !file.is_code(i) {
                 continue;
@@ -121,32 +96,6 @@ impl Rule for Determinism {
                 });
                 if env_precedes {
                     push("environment read");
-                    continue;
-                }
-            }
-            // Transcendental method calls (`x.sin()`, `y.powf(z)`) inside a
-            // quant module: libm results differ across platforms, which
-            // breaks the boundary's bit-stability contract.
-            if quant && TRANSCENDENTALS.iter().any(|t| tok.is_ident(t)) {
-                let is_method_call = file
-                    .prev_code(i)
-                    .is_some_and(|p| file.tokens[p].is_punct("."))
-                    && file
-                        .next_code(i)
-                        .is_some_and(|n| file.tokens[n].is_punct("("));
-                if is_method_call {
-                    out.push(Finding {
-                        rule: "determinism",
-                        file: file.path.clone(),
-                        line: tok.line,
-                        snippet: file.snippet(tok.line),
-                        message: format!(
-                            "transcendental `{}` in a quant module — libm results vary by \
-                             platform; quantization interiors must use exact IEEE ops only",
-                            tok.text
-                        ),
-                        allowlisted: false,
-                    });
                 }
             }
         }

@@ -67,40 +67,6 @@ fn determinism_fail_fixture_trips_all_three_leaks() {
 }
 
 #[test]
-fn determinism_quant_pass_fixture_is_clean() {
-    assert_pass("determinism", "determinism_quant_pass.rs");
-}
-
-#[test]
-fn determinism_quant_fail_fixture_trips_only_the_transcendentals() {
-    let findings = run_rule("determinism", "determinism_quant_fail.rs");
-    assert_eq!(findings.len(), 2, "{findings:#?}");
-    let text = format!("{findings:?}");
-    assert!(text.contains("`ln`"));
-    assert!(text.contains("`powf`"));
-    assert!(!text.contains("sqrt"), "exact IEEE ops must stay legal");
-}
-
-#[test]
-fn transcendentals_outside_quant_modules_are_not_flagged() {
-    // The same leaky code under a non-quant file name passes: the
-    // no-transcendentals obligation is scoped to quantization interiors.
-    let path = format!(
-        "{}/tests/fixtures/determinism_quant_fail.rs",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    let src = std::fs::read_to_string(&path).expect("fixture exists");
-    let file = SourceFile::parse("crates/tensor/src/linalg.rs", &src);
-    let mut rule = registry()
-        .into_iter()
-        .find(|r| r.name() == "determinism")
-        .expect("rule registered");
-    let mut out = Vec::new();
-    rule.check_file(&file, &mut out);
-    assert!(out.is_empty(), "{out:#?}");
-}
-
-#[test]
 fn unsafe_audit_pass_fixture_is_clean() {
     assert_pass("unsafe-audit", "unsafe_audit_pass.rs");
 }

@@ -136,17 +136,6 @@ impl Dense {
         self.w.shape()[1]
     }
 
-    /// The weight matrix, `[in, out]` (read-only; the quantized inference
-    /// path snapshots it at load).
-    pub fn weights(&self) -> &Tensor {
-        &self.w
-    }
-
-    /// The bias vector, `[out]`.
-    pub fn bias(&self) -> &Tensor {
-        &self.b
-    }
-
     fn forward(&self, x: &Tensor) -> Result<(Tensor, LayerCache)> {
         let y = self.affine(x)?;
         Ok((

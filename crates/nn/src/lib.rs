@@ -55,7 +55,6 @@ mod error;
 mod layers;
 mod loss;
 pub mod metrics;
-pub mod quant;
 mod network;
 mod optim;
 mod train;
@@ -68,7 +67,6 @@ pub use loss::{
     cross_entropy_soft, cw_loss, mse_loss, softmax, softmax_cross_entropy, LossOutput,
 };
 pub use network::Network;
-pub use quant::{QuantDense, QuantMlp};
 pub use optim::{Adam, Momentum, Optimizer, Sgd};
 pub use train::{epoch_seed, TrainConfig, TrainReport, Trainer};
 

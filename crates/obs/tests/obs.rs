@@ -6,7 +6,8 @@ use std::sync::Mutex;
 
 use dcn_obs::{counter, histogram, names, snapshot, span, Snapshot};
 
-/// Serializes tests that flip the global enabled flag.
+/// Serializes the tests in this binary: some flip the global enabled flag,
+/// and `dcn_obs::reset` zeroes every metric in the process.
 static ENABLE_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -17,6 +18,7 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 
 #[test]
 fn concurrent_increments_sum_exactly() {
+    let _guard = lock();
     // The DCN_THREADS=4 scenario: four workers hammering the same counter
     // and histogram must lose no increments.
     const WORKERS: usize = 4;
@@ -43,6 +45,7 @@ fn concurrent_increments_sum_exactly() {
 
 #[test]
 fn histogram_bucket_boundaries_are_inclusive_upper_bounds() {
+    let _guard = lock();
     let h = histogram("obs_test.bounds", &[1.0, 10.0, 100.0]);
     for v in [0.0, 1.0] {
         h.observe(v); // first bucket, boundary inclusive
@@ -138,8 +141,8 @@ fn reset_zeroes_but_keeps_registration() {
     let _guard = lock();
     let c = counter("obs_test.reset_me");
     c.add(5);
-    // Reset zeroes every metric in the process; other tests in this binary
-    // only assert deltas or hold the lock, so this is safe here.
+    // Reset zeroes every metric in the process; every other test in this
+    // binary holds the lock, so this is safe here.
     dcn_obs::reset();
     assert_eq!(c.get(), 0);
     assert_eq!(snapshot("post-reset").counter("obs_test.reset_me"), 0);

@@ -15,8 +15,9 @@
 //! closed-loop load generator against an in-process server and writes
 //! throughput plus p50/p99 latency per client count.
 //!
-//! Failures exit with a class-specific code from the workspace table,
-//! [`dcn_core::EXIT_CODES`], which `dcn-serve help` prints.
+//! Each subcommand rejects a flag it does not read (exit 2) before it loads
+//! or trains a model. Failures exit with a class-specific code from the
+//! workspace table, [`dcn_core::EXIT_CODES`], which `dcn-serve help` prints.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -30,6 +31,42 @@ use dcn_serve::{Server, ServerConfig, WireMode};
 
 const USAGE: &str = "usage: dcn-serve <serve|bench> [flags]
 run `dcn-serve help` for the full flag reference";
+
+/// Flags every subcommand reads: observability, tracing, fault injection.
+const SHARED_FLAGS: &[&str] = &[
+    "obs",
+    "obs-json",
+    "trace",
+    "fault-seed",
+    "fault-io",
+    "fault-latency-ns",
+    "fault-budget",
+];
+
+/// Flags `serve` reads on top of the shared ones.
+const SERVE_FLAGS: &[&str] = &[
+    "dcn",
+    "demo",
+    "samples",
+    "seed",
+    "addr",
+    "json",
+    "batch",
+    "queue",
+    "shed-mark",
+    "threads",
+    "admin-addr",
+    "flight-dir",
+    "drift-baseline",
+    "drift-tolerance",
+];
+
+/// Flags `bench` reads on top of the shared ones.
+const BENCH_FLAGS: &[&str] = &[
+    "clients", "requests", "samples", "batch", "json", "seed", "out",
+];
+
+type Command = fn(&HashMap<String, String>) -> Result<(), DcnError>;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -56,20 +93,25 @@ fn main() -> ExitCode {
 }
 
 fn run(cmd: &str, rest: &[String]) -> Result<(), DcnError> {
-    let flags = parse_flags(rest)?;
+    let (known, command): (&[&str], Command) = match cmd {
+        "serve" => (SERVE_FLAGS, cmd_serve),
+        "bench" => (BENCH_FLAGS, cmd_bench),
+        "help" | "--help" | "-h" => (&[], cmd_help),
+        other => {
+            return Err(DcnError::Config(format!(
+                "unknown command {other:?}\n{USAGE}"
+            )))
+        }
+    };
+    let flags = parse_flags(rest, known)?;
     apply_obs_flags(&flags)?;
     apply_fault_flags(&flags)?;
-    match cmd {
-        "serve" => cmd_serve(&flags),
-        "bench" => cmd_bench(&flags),
-        "help" | "--help" | "-h" => {
-            println!("{}", long_help());
-            Ok(())
-        }
-        other => Err(DcnError::Config(format!(
-            "unknown command {other:?}\n{USAGE}"
-        ))),
-    }
+    command(&flags)
+}
+
+fn cmd_help(_flags: &HashMap<String, String>) -> Result<(), DcnError> {
+    println!("{}", long_help());
+    Ok(())
 }
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), DcnError> {
@@ -97,7 +139,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), DcnError> {
         flight_dir: flags.get("flight-dir").map(std::path::PathBuf::from),
         drift_baseline: parse_num(flag_or(flags, "drift-baseline", "0.0"), "--drift-baseline")?,
         drift_tolerance: parse_num(flag_or(flags, "drift-tolerance", "1.0"), "--drift-tolerance")?,
-        int8_detector: int8_detector_setting(flags)?,
     };
     let server = Server::start(Arc::new(dcn), config)?;
     println!("serving on {} (ctrl-c to stop)", server.addr());
@@ -137,26 +178,6 @@ fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), DcnError> {
     bench::write_report(&report, out)?;
     println!("wrote {out}");
     Ok(())
-}
-
-/// Resolves the int8 detector opt-in: `--int8-detector 1|0` wins, then the
-/// `DCN_INT8_DETECTOR` environment variable, default off. The env read lives
-/// here in the CLI (not in the numeric crates) so the determinism lint's
-/// environment-read ban stays meaningful.
-fn int8_detector_setting(flags: &HashMap<String, String>) -> Result<bool, DcnError> {
-    if let Some(v) = flags.get("int8-detector") {
-        return match v.as_str() {
-            "1" | "true" | "on" => Ok(true),
-            "0" | "false" | "off" => Ok(false),
-            other => Err(DcnError::Config(format!(
-                "--int8-detector expects 1 or 0, got {other:?}"
-            ))),
-        };
-    }
-    Ok(matches!(
-        std::env::var("DCN_INT8_DETECTOR").ok().as_deref(),
-        Some("1") | Some("true") | Some("on")
-    ))
 }
 
 fn parse_clients(csv: &str) -> Result<Vec<usize>, DcnError> {
@@ -266,11 +287,6 @@ serve:  --dcn PATH       DCN artifact from `dcn build` (or --demo 1 to
         --drift-baseline R  expected detector flag rate (default 0.0)
         --drift-tolerance T max |rate - baseline| before `health` raises
                          drift_alarm (default 1.0 = never)
-        --int8-detector 1|0  screen batched logits through the int8-quantized
-                         detector (also DCN_INT8_DETECTOR; default 0).
-                         Verdicts are tolerance-tested against f32, not
-                         bitwise; startup fails if the detector head is not
-                         a Dense-ReLU-Dense MLP
 
 bench:  --clients CSV    client counts to sweep (default 1,4,16,64)
         --requests N     requests per client, closed-loop (default 50)
@@ -291,14 +307,20 @@ deadline, quorum) — see DESIGN.md §12 for the wire layout.
     )
 }
 
-/// Parses `--key value` pairs; rejects unknown shapes early.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, DcnError> {
+/// Parses `--key value` pairs, rejecting any flag outside `known` (the
+/// subcommand's own flags) and [`SHARED_FLAGS`].
+fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, String>, DcnError> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(k) = it.next() {
         let Some(key) = k.strip_prefix("--") else {
             return Err(DcnError::Config(format!("expected --flag, got {k:?}")));
         };
+        if !known.contains(&key) && !SHARED_FLAGS.contains(&key) {
+            return Err(DcnError::Config(format!(
+                "unknown flag --{key} for this command; run `dcn-serve help`"
+            )));
+        }
         let Some(v) = it.next() else {
             return Err(DcnError::Config(format!("flag --{key} needs a value")));
         };
@@ -338,4 +360,40 @@ fn read_artifact(path: &str, site: &'static str) -> Result<String, DcnError> {
 /// problem.
 fn parse_artifact<T: serde::Deserialize>(json: &str, what: &str) -> Result<T, DcnError> {
     serde_json::from_str(json).map_err(|e| DcnError::Corrupt(format!("{what}: {e}")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn flags_a_command_does_not_read_are_config_errors() {
+        let ok = parse_flags(
+            &args(&["--demo", "1", "--shed-mark", "8", "--obs", "1"]),
+            SERVE_FLAGS,
+        );
+        assert_eq!(ok.map(|f| f.len()).ok(), Some(3));
+        let ok = parse_flags(
+            &args(&["--clients", "1,4", "--fault-seed", "3"]),
+            BENCH_FLAGS,
+        );
+        assert_eq!(ok.map(|f| f.len()).ok(), Some(2));
+        for (argv, known) in [
+            (&["--demo", "1", "--no-such-flag", "1"][..], SERVE_FLAGS),
+            (&["--shed_mark", "8"], SERVE_FLAGS),
+            (&["--clients", "4"], SERVE_FLAGS),
+            (&["--dcn", "dcn.json"], BENCH_FLAGS),
+            (&["--demo", "1"], &[]),
+        ] {
+            let err = parse_flags(&args(argv), known).err();
+            assert!(
+                matches!(&err, Some(e @ DcnError::Config(_)) if e.exit_code() == 2),
+                "{argv:?}: {err:?}"
+            );
+        }
+    }
 }

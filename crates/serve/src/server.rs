@@ -81,13 +81,6 @@ pub struct ServerConfig {
     /// before `health` raises `drift_alarm`. The default `1.0` can never
     /// trip (rates live in `[0, 1]`) — the alarm is opt-in.
     pub drift_tolerance: f64,
-    /// Run the detector screen through the int8-quantized head
-    /// ([`dcn_core::Detector::quantized`], built once at startup).
-    /// Verdicts are tolerance-tested against the f32 path, not bitwise —
-    /// an explicit opt-in (`--int8-detector 1` / `DCN_INT8_DETECTOR=1`),
-    /// off by default. Startup fails with [`DcnError::Config`] if the
-    /// detector's head is not the standard quantizable MLP.
-    pub int8_detector: bool,
 }
 
 impl Default for ServerConfig {
@@ -103,7 +96,6 @@ impl Default for ServerConfig {
             flight_dir: None,
             drift_baseline: 0.0,
             drift_tolerance: 1.0,
-            int8_detector: false,
         }
     }
 }
@@ -253,21 +245,11 @@ impl Server {
             }
             None => (None, None),
         };
-        // Quantize the detector head once at startup; a non-quantizable
-        // head is a configuration error, not something to discover on the
-        // first batch.
-        let int8 = if config.int8_detector {
-            Some(dcn.detector().quantized().map_err(|e| {
-                DcnError::Config(format!("int8 detector requested but unavailable: {e}"))
-            })?)
-        } else {
-            None
-        };
         let batcher = {
             let queue = Arc::clone(&queue);
             let flight = Arc::clone(&flight);
             let max_batch = config.max_batch;
-            std::thread::spawn(move || batcher_loop(&dcn, &queue, max_batch, &flight, int8))
+            std::thread::spawn(move || batcher_loop(&dcn, &queue, max_batch, &flight))
         };
         let acceptor = {
             let queue = Arc::clone(&queue);
@@ -489,7 +471,6 @@ fn batcher_loop(
     queue: &Arc<BoundedQueue<Job>>,
     max_batch: usize,
     flight: &Arc<FlightState>,
-    int8: Option<dcn_core::QuantizedDetector>,
 ) {
     loop {
         let jobs = queue.pop_batch(max_batch);
@@ -502,13 +483,19 @@ fn batcher_loop(
             dcn_obs::histogram(names::SERVE_BATCH_OCCUPANCY, dcn_obs::SMALL_COUNT)
                 .observe(jobs.len() as f64);
         }
+        // Every enqueue-wait span closes before the batch-assembly clock
+        // opens, so a trace's stages never overlap.
+        for job in &jobs {
+            dcn_obs::stage_end(
+                job.wait,
+                job.req.trace,
+                dcn_obs::names::TRACE_STAGE_ENQUEUE_WAIT,
+            );
+        }
         let assembly = dcn_obs::stage_clock();
         let mut requests = Vec::with_capacity(jobs.len());
         let mut metas = Vec::with_capacity(jobs.len());
         for job in jobs {
-            // The enqueue-wait span closes here: the job just left the
-            // queue and entered batch assembly.
-            dcn_obs::stage_end(job.wait, job.req.trace, dcn_obs::names::TRACE_STAGE_ENQUEUE_WAIT);
             metas.push((job.id, job.req.shed, job.req.trace, job.enqueued, job.conn));
             requests.push(job.req);
         }
@@ -520,7 +507,7 @@ fn batcher_loop(
                 dcn_obs::names::TRACE_STAGE_BATCH_ASSEMBLY,
             );
         }
-        let results = dcn.try_classify_batch_with(&requests, int8.as_ref());
+        let results = dcn.try_classify_batch(&requests);
         for ((id, shed, trace, enqueued, conn), result) in metas.into_iter().zip(results) {
             let write = dcn_obs::stage_clock();
             let (response, outcome) = match result {

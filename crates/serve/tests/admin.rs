@@ -239,6 +239,16 @@ fn tracing_never_changes_answers_and_spans_fit_the_wall_clock() {
                 rec.total_ns
             );
             assert!(rec.total_ns <= wall_ns, "trace {} outlives the run", rec.trace_id);
+            for pair in rec.stages.windows(2) {
+                assert!(
+                    pair[0].start_ns + pair[0].dur_ns <= pair[1].start_ns,
+                    "trace {}: {} overlaps {}: {:?}",
+                    rec.trace_id,
+                    pair[0].name,
+                    pair[1].name,
+                    rec.stages
+                );
+            }
             let names: Vec<&str> = rec.stages.iter().map(|s| s.name).collect();
             assert!(names.contains(&"trace.enqueue_wait"), "{names:?}");
             assert!(names.contains(&"trace.batch_assembly"), "{names:?}");

@@ -32,7 +32,6 @@ mod error;
 pub mod kernel;
 mod linalg;
 pub mod par;
-pub mod quant;
 pub mod scratch;
 mod shape;
 mod tensor;

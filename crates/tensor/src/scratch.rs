@@ -67,7 +67,6 @@ pub struct ScratchStats {
 #[derive(Debug, Default)]
 pub struct Scratch {
     free: Vec<Vec<f32>>,
-    free_i8: Vec<Vec<i8>>,
     stats: ScratchStats,
 }
 
@@ -106,38 +105,10 @@ impl Scratch {
         self.free.push(buf);
     }
 
-    /// Takes a zero-filled `i8` buffer of exactly `len` elements — the
-    /// [`Scratch::take`] twin for the quantized detector path's activation
-    /// buffers. Same best-fit policy, same counters.
-    pub fn take_i8(&mut self, len: usize) -> Vec<i8> {
-        self.stats.takes += 1;
-        let mut buf = match pop_best(&mut self.free_i8, len) {
-            Some(buf) => buf,
-            None => {
-                self.stats.heap_allocs += 1;
-                return vec![0; len];
-            }
-        };
-        if buf.capacity() < len {
-            self.stats.heap_allocs += 1;
-        }
-        buf.clear();
-        buf.resize(len, 0);
-        buf
-    }
-
-    /// Returns an `i8` buffer to the pool for later reuse.
-    pub fn put_i8(&mut self, buf: Vec<i8>) {
-        self.stats.recycles += 1;
-        self.free_i8.push(buf);
-    }
-
-    /// Lifetime counters plus the pool's current residency. `pooled` counts
-    /// f32 and i8 buffers alike; `pooled_elems` remains the f32 capacity
-    /// (the i8 pool holds a few hundred bytes of detector activations).
+    /// Lifetime counters plus the pool's current residency.
     pub fn stats(&self) -> ScratchStats {
         let mut stats = self.stats;
-        stats.pooled = self.free.len() + self.free_i8.len();
+        stats.pooled = self.free.len();
         stats.pooled_elems = self.free.iter().map(Vec::capacity).sum();
         stats
     }
@@ -145,35 +116,30 @@ impl Scratch {
     /// Drops every pooled buffer and zeroes the counters.
     pub fn clear(&mut self) {
         self.free.clear();
-        self.free_i8.clear();
         self.stats = ScratchStats::default();
     }
 
     fn pop_best(&mut self, len: usize) -> Option<Vec<f32>> {
-        pop_best(&mut self.free, len)
-    }
-}
-
-/// Best-fit selection shared by the f32 and i8 pools: among buffers that
-/// fit, smallest wins; a buffer that fits always beats one that doesn't;
-/// among too-small buffers, largest wins (cheapest grow).
-fn pop_best<T>(free: &mut Vec<Vec<T>>, len: usize) -> Option<Vec<T>> {
-    let mut best: Option<(usize, usize)> = None;
-    for (idx, cap) in free.iter().map(Vec::capacity).enumerate() {
-        let better = match best {
-            None => true,
-            Some((_, best_cap)) => match (cap >= len, best_cap >= len) {
-                (true, true) => cap < best_cap,
-                (true, false) => true,
-                (false, true) => false,
-                (false, false) => cap > best_cap,
-            },
-        };
-        if better {
-            best = Some((idx, cap));
+        let mut best: Option<(usize, usize)> = None;
+        for (idx, cap) in self.free.iter().map(Vec::capacity).enumerate() {
+            let better = match best {
+                None => true,
+                // Among buffers that fit, smallest wins; a buffer that fits
+                // always beats one that doesn't; among too-small buffers,
+                // largest wins (cheapest grow).
+                Some((_, best_cap)) => match (cap >= len, best_cap >= len) {
+                    (true, true) => cap < best_cap,
+                    (true, false) => true,
+                    (false, true) => false,
+                    (false, false) => cap > best_cap,
+                },
+            };
+            if better {
+                best = Some((idx, cap));
+            }
         }
+        best.map(|(idx, _)| self.free.swap_remove(idx))
     }
-    best.map(|(idx, _)| free.swap_remove(idx))
 }
 
 thread_local! {
@@ -200,24 +166,6 @@ pub fn take(len: usize) -> Vec<f32> {
 /// Returns a buffer to the calling thread's pool.
 pub fn recycle(buf: Vec<f32>) {
     LOCAL.with(|s| s.borrow_mut().put(buf));
-    if dcn_obs::enabled() {
-        dcn_obs::counter(dcn_obs::names::SCRATCH_RECYCLES_TOTAL).inc();
-    }
-}
-
-/// Takes a zero-filled `i8` buffer from the calling thread's pool (the
-/// quantized detector path's activation staging).
-pub fn take_i8(len: usize) -> Vec<i8> {
-    let buf = LOCAL.with(|s| s.borrow_mut().take_i8(len));
-    if dcn_obs::enabled() {
-        dcn_obs::counter(dcn_obs::names::SCRATCH_TAKES_TOTAL).inc();
-    }
-    buf
-}
-
-/// Returns an `i8` buffer to the calling thread's pool.
-pub fn recycle_i8(buf: Vec<i8>) {
-    LOCAL.with(|s| s.borrow_mut().put_i8(buf));
     if dcn_obs::enabled() {
         dcn_obs::counter(dcn_obs::names::SCRATCH_RECYCLES_TOTAL).inc();
     }
@@ -314,24 +262,6 @@ mod tests {
         assert_eq!(stats.pooled, 1);
         clear_local();
         assert_eq!(local_stats(), ScratchStats::default());
-    }
-
-    #[test]
-    fn i8_pool_round_trips_and_reuses_capacity() {
-        let mut pool = Scratch::new();
-        let mut buf = pool.take_i8(16);
-        assert_eq!(buf, vec![0i8; 16]);
-        buf.iter_mut().for_each(|v| *v = 9);
-        pool.put_i8(buf);
-        let again = pool.take_i8(8);
-        assert_eq!(again, vec![0i8; 8]);
-        assert!(again.capacity() >= 16);
-        // The i8 pool never serves f32 requests (and vice versa).
-        let f = pool.take(8);
-        assert_eq!(pool.stats().heap_allocs, 2);
-        pool.put(f);
-        pool.put_i8(again);
-        assert_eq!(pool.stats().pooled, 2);
     }
 
     #[test]
