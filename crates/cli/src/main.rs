@@ -16,8 +16,9 @@
 //! `serde` representations, so models trained here load in user code and
 //! vice versa.
 //!
-//! Failures exit with a class-specific code from the workspace table,
-//! [`dcn_core::EXIT_CODES`], which `dcn help` prints.
+//! Each command rejects a flag it does not read (exit 2) before it loads
+//! or trains a model. Failures exit with a class-specific code from the
+//! workspace table, [`dcn_core::EXIT_CODES`], which `dcn help` prints.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -41,6 +42,25 @@ use rand::SeedableRng;
 const USAGE: &str = "usage: dcn <train|eval|attack|build|defend|info> [flags]
 run `dcn help` for the full flag reference";
 
+/// Observability flags every command reads.
+const OBS_FLAGS: &[&str] = &["obs", "obs-json"];
+
+/// Fault-injection flags every command reads (the `DCN_FAULT_*` knobs).
+const FAULT_FLAGS: &[&str] = &[
+    "fault-seed",
+    "fault-io",
+    "fault-nan",
+    "fault-latency-ns",
+    "fault-budget",
+    "fault-short-write",
+    "fault-abort-epochs",
+    "fault-connect",
+    "fault-reset",
+    "fault-short-read",
+];
+
+type Command = fn(&HashMap<String, String>) -> Result<(), DcnError>;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
@@ -61,7 +81,7 @@ fn main() -> ExitCode {
         }
         Err(e) => {
             eprintln!("error: {e}");
-            // exit_code is 1..=8 by construction (6..=8 only reachable via
+            // exit_code is 1..=7 by construction (6 and 7 only reachable via
             // the serving/distributed planes); the clamp is belt and braces
             // against future variants.
             ExitCode::from(e.exit_code().clamp(1, 255) as u8)
@@ -70,24 +90,46 @@ fn main() -> ExitCode {
 }
 
 fn run(cmd: &str, rest: &[String]) -> Result<(), DcnError> {
-    let flags = parse_flags(rest)?;
+    let (known, command) = command(cmd)?;
+    let flags = parse_flags(rest, known)?;
     apply_obs_flags(&flags)?;
     apply_fault_flags(&flags)?;
-    match cmd {
-        "train" => cmd_train(&flags),
-        "eval" => cmd_eval(&flags),
-        "attack" => cmd_attack(&flags),
-        "build" => cmd_build(&flags),
-        "defend" => cmd_defend(&flags),
-        "info" => cmd_info(&flags),
-        "help" | "--help" | "-h" => {
-            println!("{}", long_help());
-            Ok(())
+    command(&flags)
+}
+
+/// A command's entry point and the flags it reads on top of [`OBS_FLAGS`]
+/// and [`FAULT_FLAGS`].
+fn command(cmd: &str) -> Result<(&'static [&'static str], Command), DcnError> {
+    Ok(match cmd {
+        "train" => (
+            &["task", "n", "epochs", "seed", "out", "checkpoint"],
+            cmd_train,
+        ),
+        "eval" => (&["task", "n", "seed", "model"], cmd_eval),
+        "attack" => (
+            &[
+                "task", "model", "attack", "seeds", "kappa", "eps", "seed", "out",
+            ],
+            cmd_attack,
+        ),
+        "build" => (&["task", "model", "det-seeds", "seed", "out"], cmd_build),
+        "defend" => (
+            &["dcn", "pool", "seed", "deadline-ms", "max-votes", "quorum"],
+            cmd_defend,
+        ),
+        "info" => (&["model", "dcn"], cmd_info),
+        "help" | "--help" | "-h" => (&[], cmd_help),
+        other => {
+            return Err(DcnError::Config(format!(
+                "unknown command {other:?}\n{USAGE}"
+            )))
         }
-        other => Err(DcnError::Config(format!(
-            "unknown command {other:?}\n{USAGE}"
-        ))),
-    }
+    })
+}
+
+fn cmd_help(_flags: &HashMap<String, String>) -> Result<(), DcnError> {
+    println!("{}", long_help());
+    Ok(())
 }
 
 /// Applies the observability flags shared by every command: `--obs 1|0`
@@ -116,19 +158,7 @@ fn apply_obs_flags(flags: &HashMap<String, String>) -> Result<(), DcnError> {
 /// as the `DCN_FAULT_*` environment variables). When none are given the
 /// ambient environment configuration, if any, stays in effect.
 fn apply_fault_flags(flags: &HashMap<String, String>) -> Result<(), DcnError> {
-    let keys = [
-        "fault-seed",
-        "fault-io",
-        "fault-nan",
-        "fault-latency-ns",
-        "fault-budget",
-        "fault-short-write",
-        "fault-abort-epochs",
-        "fault-connect",
-        "fault-reset",
-        "fault-short-read",
-    ];
-    if !keys.iter().any(|k| flags.contains_key(*k)) {
+    if !FAULT_FLAGS.iter().any(|k| flags.contains_key(*k)) {
         return Ok(());
     }
     let plan = FaultPlan {
@@ -183,7 +213,7 @@ commands:
   defend  replay an adversarial pool against a saved DCN
   info    describe a saved model or DCN
 
-common flags:
+common flags (a command rejects any flag it does not read, exit 2):
   --task mnist|cifar   synthetic benchmark (default mnist)
   --seed N             RNG seed (default 42)
   --out PATH           output artifact path
@@ -217,14 +247,23 @@ defend: --dcn PATH  --pool PATH
     )
 }
 
-/// Parses `--key value` pairs; rejects unknown shapes early.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, DcnError> {
+/// Parses `--key value` pairs, rejecting any flag outside `known` (the
+/// command's own flags), [`OBS_FLAGS`] and [`FAULT_FLAGS`].
+fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, String>, DcnError> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(k) = it.next() {
         let Some(key) = k.strip_prefix("--") else {
             return Err(DcnError::Config(format!("expected --flag, got {k:?}")));
         };
+        if ![known, OBS_FLAGS, FAULT_FLAGS]
+            .iter()
+            .any(|list| list.contains(&key))
+        {
+            return Err(DcnError::Config(format!(
+                "unknown flag --{key} for this command; run `dcn help`"
+            )));
+        }
         let Some(v) = it.next() else {
             return Err(DcnError::Config(format!("flag --{key} needs a value")));
         };
@@ -548,11 +587,40 @@ mod tests {
 
     #[test]
     fn parse_flags_accepts_pairs_and_rejects_bare_words() {
-        let f = parse_flags(&["--task".into(), "mnist".into(), "--n".into(), "5".into()])
-            .unwrap();
+        let f = parse_flags(
+            &["--task".into(), "mnist".into(), "--n".into(), "5".into()],
+            &["task", "n"],
+        )
+        .unwrap();
         assert_eq!(f.get("task").map(String::as_str), Some("mnist"));
-        assert!(parse_flags(&["task".into()]).is_err());
-        assert!(parse_flags(&["--task".into()]).is_err());
+        assert!(parse_flags(&["task".into()], &["task"]).is_err());
+        assert!(parse_flags(&["--task".into()], &["task"]).is_err());
+    }
+
+    #[test]
+    fn each_command_rejects_flags_it_does_not_read() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let known = |cmd| command(cmd).map(|(known, _)| known).unwrap();
+        let ok = parse_flags(
+            &args(&["--epochs", "3", "--obs", "1", "--fault-seed", "2"]),
+            known("train"),
+        );
+        assert_eq!(ok.map(|f| f.len()).ok(), Some(3));
+        for (cmd, argv) in [
+            ("train", &["--epoch", "3"][..]),
+            ("train", &["--model", "m.json"]),
+            ("eval", &["--epochs", "3"]),
+            ("defend", &["--task", "mnist"]),
+            ("info", &["--seed", "1"]),
+            ("help", &["--n", "1"]),
+        ] {
+            let err = parse_flags(&args(argv), known(cmd)).err();
+            assert!(
+                matches!(&err, Some(e @ DcnError::Config(_)) if e.exit_code() == 2),
+                "{cmd} {argv:?}: {err:?}"
+            );
+        }
+        assert!(matches!(command("fit"), Err(DcnError::Config(_))));
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //! et al.) — a shared [`Defense`] trait, a model zoo matching the paper's
 //! MNIST/CIFAR architectures ([`models`]), and forward-pass cost accounting
 //! ([`CountingClassifier`]) used to regenerate the paper's efficiency tables.
+//! [`wire`] holds the framing and payload coding that the `dcn-serve` and
+//! `dcn-ps` protocols share.
 //!
 //! # Examples
 //!
@@ -62,6 +64,7 @@ mod magnet;
 pub mod models;
 mod region;
 mod squeeze;
+pub mod wire;
 
 pub use adaptive::AdaptiveCwL2;
 pub use batch::BatchRequest;

@@ -6,8 +6,8 @@
 //! (contiguous runs of the parameter-tensor list, each with its own Adam);
 //! N worker processes rebuild the dataset and model deterministically from
 //! the job seed, compute gradients, and push them over a length-prefixed
-//! binary protocol on localhost TCP (same framing discipline as
-//! `dcn-serve`).
+//! binary protocol on localhost TCP (framed by `dcn_core::wire`, as
+//! `dcn-serve` is).
 //!
 //! Training is bulk-synchronous (BSP, `Mode::Bsp`): one global batch is in
 //! flight at a time and updates apply in the single-process batch order.
@@ -34,8 +34,7 @@ mod shard;
 mod worker;
 
 pub use protocol::{
-    decode_client, decode_server, encode_client, encode_server, read_frame, write_frame,
-    ClientMsg, JobSpec, Mode, ServerMsg, MAX_FRAME,
+    decode_client, decode_server, encode_client, encode_server, ClientMsg, JobSpec, Mode, ServerMsg,
 };
 pub use server::{serve, RunningServer, ServerConfig, TrainSummary};
 pub use setup::{bsp_epoch_order, build_job, num_batches, Job};

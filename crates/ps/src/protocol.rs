@@ -32,15 +32,13 @@
 //! server is machine-written, so malformed frames from the *server* decode
 //! to [`DcnError::Corrupt`]. A stream ending mid-frame is an IO-class
 //! error; between frames it is a clean EOF (`Ok(None)`).
+//!
+//! Framing (`dcn_core::wire::{read_frame, write_frame}`, capped at
+//! `MAX_FRAME`) and the field coding are shared with `dcn-serve`; this
+//! module keeps only the message tags and layouts.
 
-use std::io::{Read, Write};
-
+use dcn_core::wire::{self, Cursor};
 use dcn_core::DcnError;
-
-/// Hard ceiling on a frame's payload size (16 MiB): a hostile or corrupt
-/// length prefix is rejected before any allocation. The largest legitimate
-/// frame — a full CIFAR-CNN parameter set — is well under 1 MiB.
-pub const MAX_FRAME: usize = 1 << 24;
 
 /// Most tensors one params/grads message may carry; the workspace models
 /// have ≤ 8 parameter tensors, so this bounds hostile counts cheaply.
@@ -164,166 +162,14 @@ pub struct JobSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Framing
-// ---------------------------------------------------------------------------
-
-/// Writes one length-prefixed frame.
-///
-/// # Errors
-///
-/// Propagates the underlying IO error.
-pub fn write_frame<W: Write + ?Sized>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
-    let mut out = Vec::with_capacity(4 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    w.write_all(&out)?;
-    w.flush()
-}
-
-/// Reads one frame's payload. `Ok(None)` is a clean EOF at a frame
-/// boundary; EOF mid-frame or an oversized length prefix is an error.
-///
-/// # Errors
-///
-/// [`DcnError::Io`] for truncated streams, [`DcnError::Config`] for a
-/// length prefix beyond [`MAX_FRAME`].
-pub fn read_frame<R: Read + ?Sized>(r: &mut R) -> Result<Option<Vec<u8>>, DcnError> {
-    let mut len_buf = [0u8; 4];
-    match read_exact_or_eof(r, &mut len_buf)? {
-        Filled::Eof => return Ok(None),
-        Filled::Partial(got) => {
-            return Err(frame_io(format!(
-                "stream ended inside a length prefix ({got} of 4 bytes)"
-            )))
-        }
-        Filled::Full => {}
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(DcnError::Config(format!(
-            "frame length {len} exceeds the {MAX_FRAME}-byte limit"
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    match read_exact_or_eof(r, &mut payload)? {
-        Filled::Full => Ok(Some(payload)),
-        Filled::Eof | Filled::Partial(_) => {
-            Err(frame_io(format!("stream ended inside a {len}-byte frame")))
-        }
-    }
-}
-
-enum Filled {
-    Full,
-    Partial(usize),
-    Eof,
-}
-
-/// `read_exact` that distinguishes "no bytes at all" (clean EOF) from "some
-/// bytes then EOF" (torn frame).
-fn read_exact_or_eof<R: Read + ?Sized>(r: &mut R, buf: &mut [u8]) -> Result<Filled, DcnError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Ok(if filled == 0 {
-                    Filled::Eof
-                } else {
-                    Filled::Partial(filled)
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                return Err(DcnError::Io {
-                    site: "ps.frame.read".to_string(),
-                    kind: e.kind(),
-                    msg: e.to_string(),
-                })
-            }
-        }
-    }
-    Ok(Filled::Full)
-}
-
-fn frame_io(msg: String) -> DcnError {
-    DcnError::Io {
-        site: "ps.frame.eof".to_string(),
-        kind: std::io::ErrorKind::UnexpectedEof,
-        msg,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Binary encoding
 // ---------------------------------------------------------------------------
-
-/// Byte cursor over a payload; every take is bounds-checked into a typed
-/// error, so garbage input can never panic.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let s = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(format!(
-                "payload truncated reading {what} (need {n} bytes at offset {}, have {})",
-                self.pos,
-                self.buf.len() - self.pos
-            )),
-        }
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, String> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16, String> {
-        let b = self.take(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, String> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, String> {
-        let b = self.take(8, what)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn f32(&mut self, what: &str) -> Result<f32, String> {
-        let b = self.take(4, what)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-}
 
 fn put_tensors(out: &mut Vec<u8>, tensors: &[Vec<f32>]) {
     out.extend_from_slice(&(tensors.len() as u32).to_le_bytes());
     for t in tensors {
         out.extend_from_slice(&(t.len() as u32).to_le_bytes());
-        for &v in t {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+        wire::put_f32s(out, t);
     }
 }
 
@@ -336,17 +182,10 @@ fn take_tensors(c: &mut Cursor<'_>) -> Result<Vec<Vec<f32>>, String> {
     }
     let mut tensors = Vec::with_capacity(count);
     for ti in 0..count {
-        let len = c.u32(&format!("tensor {ti} length"))? as usize;
-        if len.checked_mul(4).is_none_or(|bytes| bytes > c.remaining()) {
-            return Err(format!(
-                "tensor {ti} claims {len} values, only {} payload bytes remain",
-                c.remaining()
-            ));
-        }
-        let mut values = Vec::with_capacity(len);
-        for vi in 0..len {
-            values.push(c.f32(&format!("tensor {ti} value {vi}"))?);
-        }
+        let values = c
+            .u32("tensor length")
+            .and_then(|len| c.f32s(len as usize, "tensor values"))
+            .map_err(|e| format!("tensor {ti}: {e}"))?;
         tensors.push(values);
     }
     Ok(tensors)
@@ -419,12 +258,7 @@ fn decode_client_inner(payload: &[u8]) -> Result<ClientMsg, String> {
         },
         other => return Err(format!("unknown client message tag {other:#04x}")),
     };
-    if c.remaining() != 0 {
-        return Err(format!(
-            "{} trailing bytes after client message",
-            c.remaining()
-        ));
-    }
+    c.finish("client message")?;
     Ok(msg)
 }
 
@@ -461,17 +295,9 @@ pub fn encode_server(msg: &ServerMsg) -> Vec<u8> {
             out.extend_from_slice(&version.to_le_bytes());
         }
         ServerMsg::Error { code, msg } => {
-            let bytes = msg.as_bytes();
-            let take = bytes.len().min(u16::MAX as usize);
-            // Truncate on a char boundary so the frame stays valid UTF-8.
-            let take = (0..=take)
-                .rev()
-                .find(|&t| msg.is_char_boundary(t))
-                .unwrap_or(0);
             out.push(KIND_ERROR);
             out.push(*code);
-            out.extend_from_slice(&(take as u16).to_le_bytes());
-            out.extend_from_slice(&bytes[..take]);
+            wire::put_str16(&mut out, msg);
         }
     }
     out
@@ -524,22 +350,13 @@ fn decode_server_inner(payload: &[u8]) -> Result<ServerMsg, String> {
                 version: c.u64("version")?,
             }
         }
-        KIND_ERROR => {
-            let code = c.u8("code")?;
-            let len = c.u16("msg length")? as usize;
-            let msg = std::str::from_utf8(c.take(len, "msg")?)
-                .map_err(|e| format!("error message is not UTF-8: {e}"))?
-                .to_string();
-            ServerMsg::Error { code, msg }
-        }
+        KIND_ERROR => ServerMsg::Error {
+            code: c.u8("code")?,
+            msg: c.str16("error message")?,
+        },
         other => return Err(format!("unknown server message tag {other:#04x}")),
     };
-    if c.remaining() != 0 {
-        return Err(format!(
-            "{} trailing bytes after server message",
-            c.remaining()
-        ));
-    }
+    c.finish("server message")?;
     Ok(msg)
 }
 
@@ -603,6 +420,106 @@ mod tests {
             code: 3,
             msg: "epoch checkpoint failed".into(),
         });
+    }
+
+    /// Golden byte layout: one of every message encodes to these exact
+    /// bytes and decodes back, so the wire format cannot drift silently.
+    #[test]
+    fn binary_layout_is_stable() {
+        let client = [
+            (
+                ClientMsg::Hello {
+                    worker: 0x0102_0304,
+                    incarnation: 7,
+                },
+                vec![0x01, 0x04, 0x03, 0x02, 0x01, 7, 0, 0, 0],
+            ),
+            (ClientMsg::GetWork { worker: 2 }, vec![0x02, 2, 0, 0, 0]),
+            (
+                ClientMsg::PushGrads {
+                    worker: 1,
+                    epoch: 3,
+                    batch: 4,
+                    version: 0x0102_0304_0506_0708,
+                    loss: 0.25,
+                    grads: vec![vec![1.0, -2.5], vec![]],
+                },
+                [
+                    &[0x03][..],
+                    &[1, 0, 0, 0],             // worker
+                    &[3, 0, 0, 0],             // epoch
+                    &[4, 0, 0, 0],             // batch
+                    &[8, 7, 6, 5, 4, 3, 2, 1], // version
+                    &[0x00, 0x00, 0x80, 0x3E], // loss 0.25
+                    &[2, 0, 0, 0],             // tensor count
+                    &[2, 0, 0, 0],             // tensor 0: 2 values
+                    &[0x00, 0x00, 0x80, 0x3F], // 1.0
+                    &[0x00, 0x00, 0x20, 0xC0], // -2.5
+                    &[0, 0, 0, 0],             // tensor 1: empty
+                ]
+                .concat(),
+            ),
+        ];
+        for (msg, bytes) in client {
+            assert_eq!(encode_client(&msg), bytes, "{msg:?}");
+            assert_eq!(decode_client(&bytes).unwrap(), msg);
+        }
+        let server = [
+            (
+                ServerMsg::Welcome(JobSpec {
+                    task: "mnist".into(),
+                    n: 512,
+                    batch_size: 32,
+                    seed: 0x1112_1314_1516_1718,
+                }),
+                [
+                    &[0x41][..],
+                    &[0x00, 0x02, 0, 0],                               // n
+                    &[32, 0, 0, 0],                                    // batch_size
+                    &[0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11], // seed
+                    &[5],                                              // task length
+                    b"mnist",
+                ]
+                .concat(),
+            ),
+            (
+                ServerMsg::Work {
+                    epoch: 1,
+                    batch: 2,
+                    version: 3,
+                    params: vec![vec![0.5]],
+                },
+                [
+                    &[0x42][..],
+                    &[1, 0, 0, 0],             // epoch
+                    &[2, 0, 0, 0],             // batch
+                    &[3, 0, 0, 0, 0, 0, 0, 0], // version
+                    &[1, 0, 0, 0],             // tensor count
+                    &[1, 0, 0, 0],             // tensor 0: 1 value
+                    &[0x00, 0x00, 0x00, 0x3F], // 0.5
+                ]
+                .concat(),
+            ),
+            (
+                ServerMsg::Ack {
+                    applied: true,
+                    version: 9,
+                },
+                vec![0x44, 1, 9, 0, 0, 0, 0, 0, 0, 0],
+            ),
+            (ServerMsg::Shutdown, vec![0x43]),
+            (
+                ServerMsg::Error {
+                    code: 3,
+                    msg: "é!".into(),
+                },
+                vec![0x46, 3, 3, 0, 0xC3, 0xA9, b'!'],
+            ),
+        ];
+        for (msg, bytes) in server {
+            assert_eq!(encode_server(&msg), bytes, "{msg:?}");
+            assert_eq!(decode_server(&bytes).unwrap(), msg);
+        }
     }
 
     #[test]
@@ -676,29 +593,5 @@ mod tests {
         bomb.extend_from_slice(&[0u8; 16]);
         bomb.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(decode_server(&bomb), Err(DcnError::Corrupt(_))));
-    }
-
-    #[test]
-    fn frames_roundtrip_and_clean_eof_is_none() {
-        let payload = encode_client(&ClientMsg::GetWork { worker: 1 });
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &payload).unwrap();
-        let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).unwrap(), Some(payload));
-        assert_eq!(read_frame(&mut r).unwrap(), None);
-    }
-
-    #[test]
-    fn torn_frame_is_an_io_error() {
-        let payload = encode_client(&ClientMsg::GetWork { worker: 1 });
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &payload).unwrap();
-        buf.truncate(buf.len() - 2);
-        let mut r = &buf[..];
-        assert!(matches!(read_frame(&mut r), Err(DcnError::Io { .. })));
-        // Oversized length prefix is rejected before allocation.
-        let huge = ((MAX_FRAME + 1) as u32).to_le_bytes();
-        let mut r = &huge[..];
-        assert!(matches!(read_frame(&mut r), Err(DcnError::Config(_))));
     }
 }

@@ -19,15 +19,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use dcn_core::wire::{read_frame, write_frame};
 use dcn_core::{models, DcnError};
 use dcn_data::Dataset;
 use dcn_nn::Network;
 use dcn_obs::ordered;
 use dcn_tensor::Tensor;
 
-use crate::protocol::{
-    decode_client, encode_server, read_frame, write_frame, ClientMsg, JobSpec, Mode, ServerMsg,
-};
+use crate::protocol::{decode_client, encode_server, ClientMsg, JobSpec, Mode, ServerMsg};
 use crate::setup::{build_job, num_batches};
 use crate::shard::ShardStore;
 use crate::{names, WorkerConfig};

@@ -14,14 +14,13 @@ use std::io::{BufReader, Read};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use dcn_core::wire::{read_frame, write_frame, MAX_FRAME};
 use dcn_core::DcnError;
 use dcn_fault::RetryPolicy;
 use dcn_nn::{softmax_cross_entropy, Network};
 use dcn_tensor::Tensor;
 
-use crate::protocol::{
-    decode_server, encode_client, read_frame, write_frame, ClientMsg, JobSpec, ServerMsg,
-};
+use crate::protocol::{decode_server, encode_client, ClientMsg, JobSpec, ServerMsg};
 use crate::setup::{bsp_epoch_order, build_job};
 use crate::names;
 
@@ -134,7 +133,7 @@ impl Session {
         if let Some(cap) = dcn_fault::short_read_cap("ps.conn.short_read") {
             // Consume up to `cap` bytes and tear the stream: the frame can
             // no longer be completed, so the session must be re-dialed.
-            let mut sink = vec![0u8; cap.min(crate::MAX_FRAME)];
+            let mut sink = vec![0u8; cap.min(MAX_FRAME)];
             let _ = self.reader.read(&mut sink);
             return Err(DcnError::Io {
                 site: "ps.conn.short_read_err".to_string(),

@@ -14,6 +14,9 @@
 //!   (load into `chrome://tracing` or Perfetto);
 //! * `dump [reason]` — seal a flight-recorder post-mortem to disk now.
 //!
+//! A command line longer than `dcn_core::wire::MAX_FRAME` bytes closes its
+//! connection, as an over-long JSON data frame does.
+//!
 //! The admin plane must never block the data plane: it runs on its own
 //! listener and per-connection threads, touches only lock-free counters,
 //! short metric mutexes, and the *admission side* of the bounded queue —
@@ -21,13 +24,13 @@
 //! paused batcher leaves `snapshot` and `health` fully responsive
 //! (pinned by `tests/admin.rs`).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use dcn_core::DcnError;
+use dcn_core::{wire, DcnError};
 
 use crate::names;
 use crate::queue::BoundedQueue;
@@ -98,9 +101,11 @@ fn handle_conn<T>(stream: TcpStream, queue: &Arc<BoundedQueue<T>>, config: &Arc<
     let Ok(mut writer) = stream.try_clone() else {
         return;
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
+    let mut reader = BufReader::new(stream);
+    while let Ok(Some(line)) = wire::read_line(&mut reader) {
+        let Ok(line) = std::str::from_utf8(&line) else {
+            return;
+        };
         let line = line.trim();
         if line.is_empty() {
             continue;

@@ -43,9 +43,10 @@ mod queue;
 mod server;
 
 pub use client::Client;
+pub use dcn_core::wire::MAX_FRAME;
 pub use protocol::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    ErrResponse, OkResponse, Request, Response, WireMode, MAX_FRAME,
+    ErrResponse, OkResponse, Request, Response, WireMode,
 };
 pub use queue::{Admission, BoundedQueue};
 pub use server::{Server, ServerConfig};

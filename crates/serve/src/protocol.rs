@@ -36,17 +36,17 @@
 //! server is machine-written, so a torn response means damaged bytes, not a
 //! bad ask. A stream that ends mid-frame is an IO-class error; between
 //! frames it is a clean EOF (`Ok(None)`).
+//!
+//! Framing, the [`MAX_FRAME`] cap and the field coding come from
+//! [`dcn_core::wire`], shared with `dcn-ps`.
 
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, Write};
 use std::time::Duration;
 
+use dcn_core::wire::{self, Cursor, MAX_FRAME};
 use dcn_core::{DcnError, DcnVerdict, VoteBudget};
 use dcn_tensor::Tensor;
 use serde::{Deserialize, Serialize};
-
-/// Hard ceiling on a frame's payload size (16 MiB): a hostile or corrupt
-/// length prefix is rejected before any allocation.
-pub const MAX_FRAME: usize = 1 << 24;
 
 /// Most dimensions a request tensor may carry.
 pub const MAX_RANK: u8 = 8;
@@ -150,25 +150,7 @@ impl Response {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Wraps an encoded payload into one on-the-wire frame.
-pub fn frame(payload: &[u8], mode: WireMode) -> Vec<u8> {
-    match mode {
-        WireMode::Binary => {
-            let mut out = Vec::with_capacity(4 + payload.len());
-            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(payload);
-            out
-        }
-        WireMode::Json => {
-            let mut out = Vec::with_capacity(payload.len() + 1);
-            out.extend_from_slice(payload);
-            out.push(b'\n');
-            out
-        }
-    }
-}
-
-/// Writes one framed payload.
+/// Writes one framed payload in a single write, then flushes.
 ///
 /// # Errors
 ///
@@ -178,8 +160,16 @@ pub fn write_frame<W: Write + ?Sized>(
     payload: &[u8],
     mode: WireMode,
 ) -> std::io::Result<()> {
-    w.write_all(&frame(payload, mode))?;
-    w.flush()
+    match mode {
+        WireMode::Binary => wire::write_frame(w, payload),
+        WireMode::Json => {
+            let mut line = Vec::with_capacity(payload.len() + 1);
+            line.extend_from_slice(payload);
+            line.push(b'\n');
+            w.write_all(&line)?;
+            w.flush()
+        }
+    }
 }
 
 /// Reads one frame's payload. `Ok(None)` is a clean EOF at a frame
@@ -189,103 +179,14 @@ pub fn write_frame<W: Write + ?Sized>(
 /// # Errors
 ///
 /// [`DcnError::Io`] for truncated streams, [`DcnError::Config`] for a
-/// length prefix beyond [`MAX_FRAME`].
+/// length prefix or line beyond [`MAX_FRAME`].
 pub fn read_frame<R: BufRead + ?Sized>(
     r: &mut R,
     mode: WireMode,
 ) -> Result<Option<Vec<u8>>, DcnError> {
     match mode {
-        WireMode::Binary => {
-            let mut len_buf = [0u8; 4];
-            match read_exact_or_eof(r, &mut len_buf)? {
-                Filled::Eof => return Ok(None),
-                Filled::Partial(got) => {
-                    return Err(frame_io(format!(
-                        "stream ended inside a length prefix ({got} of 4 bytes)"
-                    )))
-                }
-                Filled::Full => {}
-            }
-            let len = u32::from_le_bytes(len_buf) as usize;
-            if len > MAX_FRAME {
-                return Err(DcnError::Config(format!(
-                    "frame length {len} exceeds the {MAX_FRAME}-byte limit"
-                )));
-            }
-            let mut payload = vec![0u8; len];
-            match read_exact_or_eof(r, &mut payload)? {
-                Filled::Full => Ok(Some(payload)),
-                Filled::Eof | Filled::Partial(_) => Err(frame_io(format!(
-                    "stream ended inside a {len}-byte frame"
-                ))),
-            }
-        }
-        WireMode::Json => {
-            let mut line = Vec::new();
-            let mut chunk = [0u8; 1];
-            loop {
-                match read_exact_or_eof(r, &mut chunk)? {
-                    Filled::Eof | Filled::Partial(_) => {
-                        return if line.is_empty() {
-                            Ok(None)
-                        } else {
-                            Err(frame_io("stream ended inside a JSON line".to_string()))
-                        }
-                    }
-                    Filled::Full => {}
-                }
-                if chunk[0] == b'\n' {
-                    return Ok(Some(line));
-                }
-                if line.len() >= MAX_FRAME {
-                    return Err(DcnError::Config(format!(
-                        "JSON line exceeds the {MAX_FRAME}-byte limit"
-                    )));
-                }
-                line.push(chunk[0]);
-            }
-        }
-    }
-}
-
-enum Filled {
-    Full,
-    Partial(usize),
-    Eof,
-}
-
-/// `read_exact` that distinguishes "no bytes at all" (clean EOF) from "some
-/// bytes then EOF" (torn frame).
-fn read_exact_or_eof<R: Read + ?Sized>(r: &mut R, buf: &mut [u8]) -> Result<Filled, DcnError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Ok(if filled == 0 {
-                    Filled::Eof
-                } else {
-                    Filled::Partial(filled)
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                return Err(DcnError::Io {
-                    site: "serve.frame.read".to_string(),
-                    kind: e.kind(),
-                    msg: e.to_string(),
-                })
-            }
-        }
-    }
-    Ok(Filled::Full)
-}
-
-fn frame_io(msg: String) -> DcnError {
-    DcnError::Io {
-        site: "serve.frame.eof".to_string(),
-        kind: std::io::ErrorKind::UnexpectedEof,
-        msg,
+        WireMode::Binary => wire::read_frame(r),
+        WireMode::Json => wire::read_line(r),
     }
 }
 
@@ -293,65 +194,12 @@ fn frame_io(msg: String) -> DcnError {
 // Binary encoding
 // ---------------------------------------------------------------------------
 
-/// Byte cursor over a payload; every take is bounds-checked into a typed
-/// error, so garbage input can never panic.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let s = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(format!(
-                "payload truncated reading {what} (need {n} bytes at offset {}, have {})",
-                self.pos,
-                self.buf.len() - self.pos
-            )),
-        }
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, String> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16, String> {
-        let b = self.take(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, String> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, String> {
-        let b = self.take(8, what)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-}
-
 /// Encodes a request payload (unframed).
 pub fn encode_request(req: &Request, mode: WireMode) -> Result<Vec<u8>, DcnError> {
     match mode {
         WireMode::Binary => {
-            let mut out = Vec::with_capacity(40 + req.x.len() * 4);
+            // A 46-byte header (tag through rank), the dims, then the values.
+            let mut out = Vec::with_capacity(46 + 4 * MAX_RANK as usize + 4 * req.x.len());
             out.push(KIND_REQUEST);
             out.extend_from_slice(&req.id.to_le_bytes());
             out.extend_from_slice(&req.seed.to_le_bytes());
@@ -375,9 +223,7 @@ pub fn encode_request(req: &Request, mode: WireMode) -> Result<Vec<u8>, DcnError
             for &d in shape {
                 out.extend_from_slice(&(d as u32).to_le_bytes());
             }
-            for &v in req.x.data() {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            wire::put_f32s(&mut out, req.x.data());
             Ok(out)
         }
         WireMode::Json => {
@@ -450,8 +296,8 @@ fn decode_request_binary(payload: &[u8]) -> Result<Request, String> {
         return Err(format!("tensor rank {rank} exceeds the wire limit {MAX_RANK}"));
     }
     let mut shape = Vec::with_capacity(rank as usize);
-    for i in 0..rank {
-        shape.push(c.u32(&format!("dim {i}"))? as usize);
+    for _ in 0..rank {
+        shape.push(c.u32("dim")? as usize);
     }
     let len = shape
         .iter()
@@ -465,11 +311,7 @@ fn decode_request_binary(payload: &[u8]) -> Result<Request, String> {
             c.remaining()
         ));
     }
-    let mut values = Vec::with_capacity(len);
-    for i in 0..len {
-        let b = c.take(4, &format!("value {i}"))?;
-        values.push(f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-    }
+    let values = c.f32s(len, "values")?;
     build_request(
         id,
         seed,
@@ -528,19 +370,11 @@ pub fn encode_response(resp: &Response, mode: WireMode) -> Result<Vec<u8>, DcnEr
                 out
             }
             Response::Err(e) => {
-                let msg = e.msg.as_bytes();
-                let take = msg.len().min(u16::MAX as usize);
-                // Truncate on a char boundary so the frame stays valid UTF-8.
-                let take = (0..=take)
-                    .rev()
-                    .find(|&t| e.msg.is_char_boundary(t))
-                    .unwrap_or(0);
-                let mut out = Vec::with_capacity(12 + take);
+                let mut out = Vec::with_capacity(12 + e.msg.len());
                 out.push(KIND_ERROR);
                 out.extend_from_slice(&e.id.to_le_bytes());
                 out.push(e.code);
-                out.extend_from_slice(&(take as u16).to_le_bytes());
-                out.extend_from_slice(&msg[..take]);
+                wire::put_str16(&mut out, &e.msg);
                 out
             }
         }),
@@ -626,9 +460,7 @@ fn decode_response_binary(payload: &[u8]) -> Result<Response, String> {
             if flags > 3 {
                 return Err(format!("unknown response flags {flags:#04x}"));
             }
-            if c.remaining() != 0 {
-                return Err(format!("{} trailing bytes after ok response", c.remaining()));
-            }
+            c.finish("ok response")?;
             Ok(Response::Ok(OkResponse {
                 id,
                 label,
@@ -641,16 +473,8 @@ fn decode_response_binary(payload: &[u8]) -> Result<Response, String> {
         KIND_ERROR => {
             let id = c.u64("id")?;
             let code = c.u8("code")?;
-            let len = c.u16("msg length")? as usize;
-            let msg = std::str::from_utf8(c.take(len, "msg")?)
-                .map_err(|e| format!("error message is not UTF-8: {e}"))?
-                .to_string();
-            if c.remaining() != 0 {
-                return Err(format!(
-                    "{} trailing bytes after error response",
-                    c.remaining()
-                ));
-            }
+            let msg = c.str16("error message")?;
+            c.finish("error response")?;
             Ok(Response::Err(ErrResponse { id, code, msg }))
         }
         other => Err(format!("unknown response tag {other}")),

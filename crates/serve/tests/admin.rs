@@ -9,17 +9,20 @@
 //! * **Flight recorder** — driving the queue to `Overloaded` leaves a
 //!   sealed, schema-valid `FLIGHT_<ts>.json` post-mortem embedding the
 //!   offending request's trace.
+//! * **Bounded command lines** — an admin line longer than `MAX_FRAME`
+//!   closes its connection instead of growing the server's buffer, and the
+//!   admin plane keeps answering new connections.
 //!
 //! Tracing, metric collection, and the recorder are process globals, so
 //! every test here serializes on one lock and restores the toggles.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier, Mutex, PoisonError};
 use std::time::Duration;
 
 use dcn_serve::bench::{demo_dcn, demo_inputs};
-use dcn_serve::{Client, Request, Response, Server, ServerConfig, WireMode};
+use dcn_serve::{Client, Request, Response, Server, ServerConfig, WireMode, MAX_FRAME};
 
 static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
 
@@ -360,5 +363,45 @@ fn overload_seals_a_flight_post_mortem_with_the_offending_trace() {
         // Shutdown adds its own dump; the overload dump is still the one
         // with the rejection in it (sealed, schema-stable names).
         let _ = std::fs::remove_dir_all(dir);
+    });
+}
+
+#[test]
+fn an_overlong_admin_line_closes_only_its_connection() {
+    with_globals(|| {
+        let dcn = Arc::new(demo_dcn(11, 8).expect("demo dcn"));
+        let server = Server::start(
+            dcn,
+            ServerConfig {
+                admin_addr: Some("127.0.0.1:0".to_string()),
+                ..ServerConfig::default()
+            },
+        )
+        .expect("server start");
+        let admin_addr = server.admin_addr().expect("admin addr");
+
+        let mut flood = TcpStream::connect(admin_addr).expect("admin connect");
+        flood
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        flood
+            .write_all(&vec![b'x'; MAX_FRAME + 1])
+            .expect("over-long line");
+        // The server must hang up (EOF, or a reset), not wait for a newline.
+        match flood.read(&mut [0u8; 64]) {
+            Ok(0) => {}
+            Ok(n) => panic!("expected a closed connection, got a {n}-byte reply"),
+            Err(e) => assert!(
+                matches!(
+                    e.kind(),
+                    ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted
+                ),
+                "connection left open: {e}"
+            ),
+        }
+
+        let mut probe = AdminProbe::connect(admin_addr);
+        assert_eq!(probe.command("ping"), "{\"ok\": true}");
+        server.shutdown();
     });
 }
