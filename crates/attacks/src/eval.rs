@@ -50,7 +50,7 @@ impl AttackStats {
     }
 }
 
-/// Emits per-attack counters and an L2-distortion histogram under
+/// Emits per-attack counters and an L2-distortion sketch under
 /// `attack.<name>.*`, with the attack name lowercased and non-alphanumerics
 /// folded to `_` so metric names stay greppable.
 fn record_attack_metrics(attack: &str, attempts: usize, examples: &[AdversarialExample]) {
@@ -69,7 +69,7 @@ fn record_attack_metrics(attack: &str, attempts: usize, examples: &[AdversarialE
         .collect();
     dcn_obs::counter(&format!("attack.{slug}.attempts_total")).add(attempts as u64);
     dcn_obs::counter(&format!("attack.{slug}.successes_total")).add(examples.len() as u64);
-    let l2 = dcn_obs::histogram(&format!("attack.{slug}.l2"), dcn_obs::MAGNITUDE);
+    let l2 = dcn_obs::sketch(&format!("attack.{slug}.l2"));
     for e in examples {
         l2.observe(f64::from(e.dist_l2));
     }

@@ -106,7 +106,7 @@ impl BoundedVote {
                     .map(|(_, &c)| c)
                     .max()
                     .unwrap_or(0);
-                dcn_obs::histogram(names::CORRECTOR_VOTE_MARGIN, dcn_obs::FRACTION)
+                dcn_obs::sketch(names::CORRECTOR_VOTE_MARGIN)
                     .observe((top - runner_up) as f64 / votes_cast as f64);
             }
         }

@@ -6,8 +6,8 @@
 //! spelling the same name — or two constants with the same value — make
 //! snapshots ambiguous. The rule collects:
 //!
-//! * string literals passed directly to `counter(…)`, `histogram(…)`,
-//!   `sketch(…)` or `span(…)`;
+//! * string literals passed directly to `counter(…)`, `sketch(…)` or
+//!   `span(…)`;
 //! * string constants defined inside a `mod names { … }` block (the
 //!   workspace's registry convention, used by `dcn-obs` and `dcn-fault`);
 //!
@@ -25,7 +25,7 @@ use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 
 /// Call sinks whose first literal argument is a metric/span name.
-const NAME_SINKS: &[&str] = &["counter", "histogram", "sketch", "span"];
+const NAME_SINKS: &[&str] = &["counter", "sketch", "span"];
 
 /// See the module docs.
 #[derive(Default)]

@@ -225,10 +225,8 @@ impl Trainer {
                 use dcn_obs::names;
                 dcn_obs::counter(names::TRAIN_EPOCHS_TOTAL).inc();
                 dcn_obs::counter(names::TRAIN_BATCHES_TOTAL).add(batches as u64);
-                dcn_obs::histogram(names::TRAIN_EPOCH_LOSS, dcn_obs::MAGNITUDE)
-                    .observe(f64::from(mean_loss));
-                dcn_obs::histogram(names::TRAIN_EPOCH_SECONDS, dcn_obs::LATENCY_SECONDS)
-                    .observe(start.elapsed().as_secs_f64());
+                dcn_obs::sketch(names::TRAIN_EPOCH_LOSS).observe(f64::from(mean_loss));
+                dcn_obs::sketch(names::TRAIN_EPOCH_SECONDS).observe(start.elapsed().as_secs_f64());
             }
             epoch_losses.push(mean_loss);
             TrainCheckpoint {
@@ -339,10 +337,8 @@ impl Trainer {
                 use dcn_obs::names;
                 dcn_obs::counter(names::TRAIN_EPOCHS_TOTAL).inc();
                 dcn_obs::counter(names::TRAIN_BATCHES_TOTAL).add(batches as u64);
-                dcn_obs::histogram(names::TRAIN_EPOCH_LOSS, dcn_obs::MAGNITUDE)
-                    .observe(f64::from(mean_loss));
-                dcn_obs::histogram(names::TRAIN_EPOCH_SECONDS, dcn_obs::LATENCY_SECONDS)
-                    .observe(start.elapsed().as_secs_f64());
+                dcn_obs::sketch(names::TRAIN_EPOCH_LOSS).observe(f64::from(mean_loss));
+                dcn_obs::sketch(names::TRAIN_EPOCH_SECONDS).observe(start.elapsed().as_secs_f64());
             }
             epoch_losses.push(mean_loss);
         }

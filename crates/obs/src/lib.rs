@@ -1,8 +1,8 @@
 //! # dcn-obs
 //!
 //! Std-only structured observability for the DCN pipeline: scoped span
-//! timers, atomic counters, fixed-bucket histograms, and a JSON snapshot /
-//! cost-accounting export.
+//! timers, atomic counters, mergeable quantile sketches, and a JSON
+//! snapshot / cost-accounting export.
 //!
 //! The paper's headline claims are quantitative — detector FN/FP rates, the
 //! corrector's `m = 50` vote budget, and a cost model where benign traffic
@@ -17,9 +17,10 @@
 //!   never feed back into any computation, so outputs are identical bit for
 //!   bit whether observability is on or off (extending the PR 1 determinism
 //!   guarantee).
-//! * **Thread-safe.** Counters and histogram buckets are atomics; the
-//!   registry hands out `&'static` handles, so parallel workers under
-//!   `DCN_THREADS=N` increment without locks on the hot path.
+//! * **Thread-safe.** Counters are atomics and each sketch sits behind its
+//!   own short mutex; the registry hands out `&'static` handles, so
+//!   parallel workers under `DCN_THREADS=N` never contend on the registry
+//!   on the hot path.
 //!
 //! Enable with `DCN_OBS=1` (collection) and/or `DCN_OBS_JSON=1` (collection
 //! plus snapshot export; a non-boolean value is treated as the output
@@ -55,11 +56,10 @@ pub use recorder::{
     flag_window, flight_events, flight_json, record_event, record_flag, recorder_enabled,
     reset_recorder, FlightEvent,
 };
-pub use registry::{counter, histogram, reset, sketch, Counter, Histogram};
+pub use registry::{counter, reset, sketch, Counter};
 pub use sketch::{QuantileSketch, Sketch, DEFAULT_SKETCH_CAPACITY};
 pub use snapshot::{
-    default_export_dir, maybe_export, snapshot, CostModel, HistogramSnapshot, SketchSnapshot,
-    Snapshot,
+    default_export_dir, maybe_export, snapshot, CostModel, SketchSnapshot, Snapshot,
 };
 pub use span::{span, Span};
 pub use trace::{
@@ -81,9 +81,9 @@ pub mod names {
     pub const TRAIN_EPOCHS_TOTAL: &str = "train.epochs_total";
     /// Training mini-batches completed.
     pub const TRAIN_BATCHES_TOTAL: &str = "train.batches_total";
-    /// Histogram of per-epoch mean loss.
+    /// Sketch of per-epoch mean loss.
     pub const TRAIN_EPOCH_LOSS: &str = "train.epoch_loss";
-    /// Histogram of per-epoch wall-clock seconds.
+    /// Sketch of per-epoch wall-clock seconds.
     pub const TRAIN_EPOCH_SECONDS: &str = "train.epoch_seconds";
     /// Logit vectors scored by the detector.
     pub const DETECTOR_EVALUATED_TOTAL: &str = "detector_evaluated_total";
@@ -101,7 +101,7 @@ pub mod names {
     pub const CORRECTOR_INVOCATIONS_TOTAL: &str = "corrector_invocations_total";
     /// Individual vote samples classified (actual, not nominal `m`).
     pub const CORRECTOR_VOTES_TOTAL: &str = "corrector_votes_total";
-    /// Histogram of the vote margin `(top − runner-up) / votes` in `[0, 1]`.
+    /// Sketch of the vote margin `(top − runner-up) / votes` in `[0, 1]`.
     pub const CORRECTOR_VOTE_MARGIN: &str = "corrector.vote_margin";
     /// DCN classifications answered.
     pub const DCN_QUERIES_TOTAL: &str = "dcn.queries_total";
@@ -117,7 +117,7 @@ pub mod names {
     pub const PAR_SERIAL_REGIONS_TOTAL: &str = "par.serial_regions_total";
     /// Work units dispatched across all parallel regions.
     pub const PAR_UNITS_TOTAL: &str = "par.units_total";
-    /// Histogram of workers per parallel region (thread utilization).
+    /// Sketch of workers per parallel region (thread utilization).
     pub const PAR_WORKERS: &str = "par.workers";
     /// Buffers handed out by the per-thread scratch pools.
     pub const SCRATCH_TAKES_TOTAL: &str = "scratch.takes_total";
@@ -153,23 +153,6 @@ pub mod names {
     /// Trace stage: encoding and writing the response frame.
     pub const TRACE_STAGE_WRITE_BACK: &str = "trace.write_back";
 }
-
-/// Fixed bucket upper bounds for latency histograms, in seconds (an
-/// implicit `+∞` bucket follows the last bound).
-pub const LATENCY_SECONDS: &[f64] = &[
-    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 30.0,
-];
-
-/// Fixed bucket upper bounds for fractions in `[0, 1]` (vote margins,
-/// utilization ratios).
-pub const FRACTION: &[f64] = &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
-
-/// Fixed bucket upper bounds for loss-like magnitudes.
-pub const MAGNITUDE: &[f64] = &[0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0];
-
-/// Fixed bucket upper bounds for small integer quantities (worker counts,
-/// per-region units in the low range).
-pub const SMALL_COUNT: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
 // 0 = unresolved (consult the environment once), 1 = forced off,
 // 2 = forced on, 3 = environment said off, 4 = environment said on.

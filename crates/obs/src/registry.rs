@@ -1,10 +1,10 @@
-//! Global metric registry: named atomic counters and fixed-bucket
-//! histograms.
+//! Global metric registry: named atomic counters and quantile sketches.
 //!
 //! Handles are `&'static`: each metric is allocated once on first use and
-//! leaked, so hot paths pay one `BTreeMap` lookup to *obtain* a handle and
-//! a single `fetch_add` per *increment*. Call sites that increment in a
-//! tight loop should hoist the handle out of the loop.
+//! leaked, so hot paths pay one `BTreeMap` lookup to *obtain* a handle, then
+//! a single `fetch_add` per counter *increment* or one short critical
+//! section per sketch *observation*. Call sites that record in a tight loop
+//! should hoist the handle out of the loop.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,158 +45,17 @@ impl Counter {
     }
 }
 
-/// Atomic add on an `f64` stored as bits in an [`AtomicU64`].
-fn atomic_f64_add(cell: &AtomicU64, v: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let next = f64::from_bits(cur) + v;
-        match cell.compare_exchange_weak(
-            cur,
-            next.to_bits(),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => return,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-/// Atomic min/max on an `f64` stored as bits in an [`AtomicU64`].
-fn atomic_f64_extreme(cell: &AtomicU64, v: f64, take_max: bool) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let cur_v = f64::from_bits(cur);
-        let better = if take_max { v > cur_v } else { v < cur_v };
-        if !better && !cur_v.is_nan() {
-            return;
-        }
-        match cell.compare_exchange_weak(cur, v.to_bits(), Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-/// A fixed-bucket histogram: ascending upper bounds plus an implicit `+∞`
-/// overflow bucket, with running count / sum / min / max.
-#[derive(Debug)]
-pub struct Histogram {
-    name: String,
-    bounds: Vec<f64>,
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum_bits: AtomicU64,
-    min_bits: AtomicU64,
-    max_bits: AtomicU64,
-}
-
-impl Histogram {
-    fn new(name: String, bounds: &[f64]) -> Self {
-        let mut sorted: Vec<f64> = bounds.iter().copied().filter(|b| b.is_finite()).collect();
-        sorted.sort_by(f64::total_cmp);
-        sorted.dedup();
-        let buckets = (0..=sorted.len()).map(|_| AtomicU64::new(0)).collect();
-        Histogram {
-            name,
-            bounds: sorted,
-            buckets,
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
-            min_bits: AtomicU64::new(f64::NAN.to_bits()),
-            max_bits: AtomicU64::new(f64::NAN.to_bits()),
-        }
-    }
-
-    /// The histogram's registered name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The ascending bucket upper bounds (the overflow bucket is implicit).
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Records one observation: `v` lands in the first bucket whose upper
-    /// bound is `>= v`, or the overflow bucket.
-    pub fn observe(&self, v: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        atomic_f64_add(&self.sum_bits, v);
-        atomic_f64_extreme(&self.min_bits, v, false);
-        atomic_f64_extreme(&self.max_bits, v, true);
-    }
-
-    /// Per-bucket counts, aligned with [`Histogram::bounds`] plus one final
-    /// overflow entry.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observed values.
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
-    }
-
-    /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() / n as f64
-        }
-    }
-
-    /// Smallest observed value (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        let v = f64::from_bits(self.min_bits.load(Ordering::Relaxed));
-        (!v.is_nan()).then_some(v)
-    }
-
-    /// Largest observed value (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        let v = f64::from_bits(self.max_bits.load(Ordering::Relaxed));
-        (!v.is_nan()).then_some(v)
-    }
-
-    fn zero(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
-        self.min_bits.store(f64::NAN.to_bits(), Ordering::Relaxed);
-        self.max_bits.store(f64::NAN.to_bits(), Ordering::Relaxed);
-    }
-}
-
 #[derive(Default)]
 pub(crate) struct Registry {
     pub(crate) counters: BTreeMap<String, &'static Counter>,
-    pub(crate) histograms: BTreeMap<String, &'static Histogram>,
     pub(crate) sketches: BTreeMap<String, &'static crate::sketch::Sketch>,
 }
 
 pub(crate) fn registry() -> MutexGuard<'static, Registry> {
     static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    // A poisoned registry is still structurally sound (metrics are atomics
-    // mutated outside the lock), so recover instead of propagating a panic
-    // into the serving path.
+    // A poisoned registry is still structurally sound (metrics are mutated
+    // outside the lock), so recover instead of propagating a panic into the
+    // serving path.
     REGISTRY
         .get_or_init(|| Mutex::new(Registry::default()))
         .lock()
@@ -217,19 +76,6 @@ pub fn counter(name: &str) -> &'static Counter {
     leaked
 }
 
-/// Returns (registering on first use) the histogram named `name` with the
-/// given bucket upper bounds. `bounds` is only consulted on first
-/// registration; later callers share the original buckets.
-pub fn histogram(name: &str, bounds: &[f64]) -> &'static Histogram {
-    let mut reg = registry();
-    if let Some(h) = reg.histograms.get(name) {
-        return h;
-    }
-    let leaked: &'static Histogram = Box::leak(Box::new(Histogram::new(name.to_string(), bounds)));
-    reg.histograms.insert(name.to_string(), leaked);
-    leaked
-}
-
 /// Returns (registering on first use) the quantile sketch named `name`,
 /// with the default centroid budget
 /// ([`crate::DEFAULT_SKETCH_CAPACITY`]).
@@ -246,16 +92,13 @@ pub fn sketch(name: &str) -> &'static crate::sketch::Sketch {
     leaked
 }
 
-/// Zeroes every registered counter, histogram and sketch (names stay
+/// Zeroes every registered counter and sketch (names stay
 /// registered). Benches and the experiment harness call this between
 /// runs so each snapshot covers exactly one workload.
 pub fn reset() {
     let reg = registry();
     for c in reg.counters.values() {
         c.zero();
-    }
-    for h in reg.histograms.values() {
-        h.zero();
     }
     for s in reg.sketches.values() {
         s.zero();
@@ -275,36 +118,5 @@ mod tests {
         assert_eq!(a.get(), b.get());
         assert!(a.get() >= 3);
         assert_eq!(a.name(), "registry_test.shared");
-    }
-
-    #[test]
-    fn histogram_buckets_observe_boundaries_inclusively() {
-        let h = histogram("registry_test.hist", &[1.0, 2.0, 4.0]);
-        h.observe(0.5); // bucket 0 (≤ 1)
-        h.observe(1.0); // bucket 0 (boundary is inclusive)
-        h.observe(1.5); // bucket 1
-        h.observe(4.0); // bucket 2
-        h.observe(9.0); // overflow
-        assert_eq!(h.bucket_counts(), vec![2, 1, 1, 1]);
-        assert_eq!(h.count(), 5);
-        assert!((h.sum() - 16.0).abs() < 1e-12);
-        assert_eq!(h.min(), Some(0.5));
-        assert_eq!(h.max(), Some(9.0));
-        assert!((h.mean() - 3.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_bounds_are_sorted_and_deduped() {
-        let h = histogram("registry_test.unsorted", &[4.0, 1.0, 4.0, 2.0, f64::INFINITY]);
-        assert_eq!(h.bounds(), &[1.0, 2.0, 4.0]);
-        assert_eq!(h.bucket_counts().len(), 4);
-    }
-
-    #[test]
-    fn atomic_f64_helpers_accumulate() {
-        let cell = AtomicU64::new(0f64.to_bits());
-        atomic_f64_add(&cell, 1.5);
-        atomic_f64_add(&cell, 2.25);
-        assert!((f64::from_bits(cell.load(Ordering::Relaxed)) - 3.75).abs() < 1e-12);
     }
 }

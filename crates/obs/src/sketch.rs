@@ -13,9 +13,12 @@
 //! Quantile queries interpolate linearly between centroid mean ranks;
 //! while the stream still fits in the centroid budget the answers are
 //! *exact* (every observation is its own centroid), and beyond that the
-//! error is bounded by the local centroid spacing. `p50`/`p99`/`p999` from
-//! the live snapshot and from `dcn-serve bench` both come from this one
-//! implementation.
+//! error is bounded by the local centroid spacing.
+//!
+//! This is the workspace's one distribution type: span and request
+//! latencies, vote margins, batch occupancy, parallel-region widths,
+//! epoch losses and attack distortions all record into a registry sketch,
+//! and a snapshot reports each as count, sum, min, max and p50–p999.
 //!
 //! Registry-backed handles ([`crate::sketch`]) wrap the value type in a
 //! mutex: one short critical section per observation, taken only at call

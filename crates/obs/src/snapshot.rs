@@ -1,6 +1,6 @@
 //! Point-in-time snapshots: JSON export and the human summary table.
 //!
-//! A [`Snapshot`] copies every registered counter and histogram, derives the
+//! A [`Snapshot`] copies every registered counter and sketch, derives the
 //! paper's cost model from the DCN counters (§4: benign traffic pays one
 //! forward pass, flagged traffic `1 + m`), and serializes to JSON by hand —
 //! the crate stays dependency-free; the output is plain JSON that the
@@ -10,42 +10,6 @@ use std::path::{Path, PathBuf};
 
 use crate::registry::registry;
 use crate::{enabled, names};
-
-/// Frozen state of one histogram.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Registered name.
-    pub name: String,
-    /// Ascending bucket upper bounds (overflow bucket implicit).
-    pub bounds: Vec<f64>,
-    /// Per-bucket counts, one longer than `bounds`.
-    pub buckets: Vec<u64>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: f64,
-    /// Smallest observation (`None` when empty).
-    pub min: Option<f64>,
-    /// Largest observation (`None` when empty).
-    pub max: Option<f64>,
-}
-
-impl HistogramSnapshot {
-    /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Sum of the per-bucket counts (equal to `count` for a quiescent
-    /// histogram).
-    pub fn bucket_sum(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-}
 
 /// Frozen state of one quantile sketch: the moments plus the standard
 /// latency percentiles.
@@ -127,8 +91,6 @@ pub struct Snapshot {
     pub run: String,
     /// `(name, value)` pairs, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Histogram states, sorted by name.
-    pub histograms: Vec<HistogramSnapshot>,
     /// Quantile-sketch states, sorted by name.
     pub sketches: Vec<SketchSnapshot>,
     /// Derived DCN cost model.
@@ -142,35 +104,6 @@ pub fn snapshot(run: &str) -> Snapshot {
         .counters
         .iter()
         .map(|(name, c)| (name.clone(), c.get()))
-        .collect();
-    let histograms: Vec<HistogramSnapshot> = reg
-        .histograms
-        .iter()
-        .map(|(name, h)| {
-            let count_before = h.count();
-            let buckets = h.bucket_counts();
-            let count = h.count();
-            let snap = HistogramSnapshot {
-                name: name.clone(),
-                bounds: h.bounds().to_vec(),
-                buckets,
-                count,
-                sum: h.sum(),
-                min: h.min(),
-                max: h.max(),
-            };
-            // Consistency: every observation lands in exactly one bucket,
-            // so for a histogram that was quiescent across both count
-            // reads the bucket sum matches the count exactly. Concurrent
-            // observers (or a racing reset) change the count between the
-            // reads, which skips the check.
-            debug_assert!(
-                count_before != count || snap.bucket_sum() == count,
-                "histogram {name}: bucket sum {} diverges from count {count}",
-                snap.bucket_sum(),
-            );
-            snap
-        })
         .collect();
     let sketches: Vec<SketchSnapshot> = reg
         .sketches
@@ -207,7 +140,6 @@ pub fn snapshot(run: &str) -> Snapshot {
     Snapshot {
         run: run.to_string(),
         counters,
-        histograms,
         sketches,
         cost,
     }
@@ -250,18 +182,20 @@ impl Snapshot {
             .map_or(0, |&(_, v)| v)
     }
 
-    /// Histogram state by name, if recorded.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|h| h.name == name)
-    }
-
     /// Quantile-sketch state by name, if recorded.
     pub fn sketch(&self, name: &str) -> Option<&SketchSnapshot> {
         self.sketches.iter().find(|s| s.name == name)
     }
 
+    /// Alias of [`Snapshot::sketch`], kept only because the repository
+    /// benchmark (`benchmark/src/serve.rs`) reads `serve.batch_size_mean`
+    /// through it. Delete it together with that call.
+    pub fn histogram(&self, name: &str) -> Option<&SketchSnapshot> {
+        self.sketch(name)
+    }
+
     /// Serializes the snapshot as pretty-printed JSON with top-level keys
-    /// `run`, `counters`, `histograms`, `sketches` and `cost`.
+    /// `run`, `counters`, `sketches` and `cost`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"run\": {},\n", json_escape(&self.run)));
@@ -271,23 +205,6 @@ impl Snapshot {
             out.push_str(&format!("    {}: {v}", json_escape(name)));
         }
         out.push_str(if self.counters.is_empty() { "},\n" } else { "\n  },\n" });
-        out.push_str("  \"histograms\": {");
-        for (i, h) in self.histograms.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let bounds: Vec<String> = h.bounds.iter().map(|&b| json_f64(b)).collect();
-            let buckets: Vec<String> = h.buckets.iter().map(|&b| b.to_string()).collect();
-            out.push_str(&format!(
-                "    {}: {{\"bounds\": [{}], \"buckets\": [{}], \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}}}",
-                json_escape(&h.name),
-                bounds.join(", "),
-                buckets.join(", "),
-                h.count,
-                json_f64(h.sum),
-                h.min.map_or("null".to_string(), json_f64),
-                h.max.map_or("null".to_string(), json_f64),
-            ));
-        }
-        out.push_str(if self.histograms.is_empty() { "},\n" } else { "\n  },\n" });
         out.push_str("  \"sketches\": {");
         for (i, s) in self.sketches.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
@@ -323,7 +240,7 @@ impl Snapshot {
     /// CLI's `obs` section.
     pub fn render(&self) -> String {
         let mut out = format!("== observability summary ({}) ==\n", self.run);
-        if self.counters.is_empty() && self.histograms.is_empty() {
+        if self.counters.is_empty() && self.sketches.is_empty() {
             out.push_str("(no metrics recorded — set DCN_OBS=1 or call dcn_obs::set_enabled)\n");
             return out;
         }
@@ -331,21 +248,11 @@ impl Snapshot {
             .counters
             .iter()
             .map(|(n, _)| n.len())
-            .chain(self.histograms.iter().map(|h| h.name.len()))
+            .chain(self.sketches.iter().map(|s| s.name.len()))
             .max()
             .unwrap_or(0);
         for (name, v) in &self.counters {
             out.push_str(&format!("  {name:width$}  {v}\n"));
-        }
-        for h in &self.histograms {
-            out.push_str(&format!(
-                "  {:width$}  n={} mean={:.4} min={:.4} max={:.4}\n",
-                h.name,
-                h.count,
-                h.mean(),
-                h.min.unwrap_or(0.0),
-                h.max.unwrap_or(0.0),
-            ));
         }
         for s in &self.sketches {
             out.push_str(&format!(
@@ -430,7 +337,7 @@ pub fn maybe_export(run: &str) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{counter, histogram, names, set_enabled, FRACTION};
+    use crate::{counter, names, set_enabled, sketch};
 
     #[test]
     fn snapshot_reads_counters_and_cost() {
@@ -440,12 +347,12 @@ mod tests {
         counter(names::DCN_CORRECTED_TOTAL).add(2);
         counter(names::DCN_BASE_PASSES_TOTAL).add(8 + 2 * 51);
         counter(names::CORRECTOR_VOTES_TOTAL).add(100);
-        histogram(names::CORRECTOR_VOTE_MARGIN, FRACTION).observe(0.4);
+        sketch(names::CORRECTOR_VOTE_MARGIN).observe(0.4);
         let snap = snapshot("unit");
         assert!(snap.counter(names::DCN_QUERIES_TOTAL) >= 10);
         assert!(snap.cost.queries >= 10);
         assert!(snap.cost.amortized_passes_per_query() > 1.0);
-        assert!(snap.histogram(names::CORRECTOR_VOTE_MARGIN).unwrap().count >= 1);
+        assert!(snap.sketch(names::CORRECTOR_VOTE_MARGIN).unwrap().count >= 1);
         assert!(snap.render().contains("cost:"));
     }
 
@@ -454,28 +361,15 @@ mod tests {
         let _guard = crate::test_lock();
         counter("snapshot_test.k").inc();
         let json = snapshot("json-keys").to_json();
-        for key in ["\"run\"", "\"counters\"", "\"histograms\"", "\"cost\""] {
+        for key in ["\"run\"", "\"counters\"", "\"sketches\"", "\"cost\""] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
     }
 
     #[test]
-    fn histogram_bucket_counts_sum_to_recorded_count() {
-        let _guard = crate::test_lock();
-        let h = histogram("snapshot_test.bucket_sum", &[1.0, 10.0]);
-        for v in [0.5, 0.5, 3.0, 50.0] {
-            h.observe(v);
-        }
-        let snap = snapshot("bucket-sum");
-        let hs = snap.histogram("snapshot_test.bucket_sum").unwrap();
-        assert_eq!(hs.count, 4);
-        assert_eq!(hs.bucket_sum(), hs.count);
-    }
-
-    #[test]
     fn sketches_surface_percentiles_in_snapshot_and_json() {
         let _guard = crate::test_lock();
-        let s = crate::sketch("snapshot_test.sketch_latency");
+        let s = sketch("snapshot_test.sketch_latency");
         for i in 1..=100 {
             s.observe(i as f64);
         }
@@ -489,6 +383,48 @@ mod tests {
         assert!(json.contains("\"snapshot_test.sketch_latency\""), "{json}");
         assert!(json.contains("\"p999\""), "{json}");
         assert!(snap.render().contains("p999="));
+    }
+
+    #[test]
+    fn render_lists_a_snapshot_holding_only_sketches() {
+        let name = "snapshot_test.a_sketch_name_longer_than_any_counter_name";
+        let snap = Snapshot {
+            run: "sketch-only".to_string(),
+            counters: Vec::new(),
+            sketches: vec![SketchSnapshot {
+                name: name.to_string(),
+                count: 3,
+                sum: 6.0,
+                min: Some(1.0),
+                max: Some(3.0),
+                p50: 2.0,
+                p90: 3.0,
+                p99: 3.0,
+                p999: 3.0,
+            }],
+            cost: CostModel {
+                queries: 0,
+                passed_through: 0,
+                corrected: 0,
+                base_passes: 0,
+                corrector_votes: 0,
+            },
+        };
+        let rendered = snap.render();
+        assert!(!rendered.contains("no metrics recorded"), "{rendered}");
+        assert!(
+            rendered.contains(&format!("  {name}  n=3 p50=2.0000")),
+            "{rendered}"
+        );
+        // A shorter counter is padded to the sketch's name column.
+        let mut with_counter = snap.clone();
+        with_counter.counters.push(("c".to_string(), 1));
+        let rendered = with_counter.render();
+        let width = name.len();
+        assert!(
+            rendered.contains(&format!("  {:width$}  1\n", "c")),
+            "{rendered}"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Scoped span timers with a per-thread hierarchy.
 //!
 //! A [`Span`] is an RAII guard: creating one starts a monotonic clock,
-//! dropping it records the elapsed seconds into a latency histogram named
+//! dropping it records the elapsed seconds into a latency sketch named
 //! `span.<path>.seconds`, where `<path>` is the `/`-joined chain of spans
 //! currently open on this thread (`dcn.classify/corrector.vote`). Each
 //! thread keeps its own stack, so parallel workers nest independently.
@@ -12,7 +12,7 @@
 use std::cell::RefCell;
 use std::time::Instant;
 
-use crate::{enabled, histogram, LATENCY_SECONDS};
+use crate::{enabled, sketch};
 
 thread_local! {
     /// Full dotted paths of the spans currently open on this thread.
@@ -59,7 +59,7 @@ impl Drop for Span {
         let secs = start.elapsed().as_secs_f64();
         let path = SPAN_STACK.with(|stack| stack.borrow_mut().pop());
         if let Some(path) = path {
-            histogram(&format!("span.{path}.seconds"), LATENCY_SECONDS).observe(secs);
+            sketch(&format!("span.{path}.seconds")).observe(secs);
             crate::counter(&format!("span.{path}.calls")).inc();
         }
     }
@@ -89,8 +89,8 @@ mod tests {
             let _inner = span("span_test.inner");
         }
         set_enabled(false);
-        let outer = histogram("span.span_test.outer.seconds", LATENCY_SECONDS);
-        let inner = histogram("span.span_test.outer/span_test.inner.seconds", LATENCY_SECONDS);
+        let outer = sketch("span.span_test.outer.seconds");
+        let inner = sketch("span.span_test.outer/span_test.inner.seconds");
         assert!(outer.count() >= 1);
         assert!(inner.count() >= 1);
         SPAN_STACK.with(|stack| assert!(stack.borrow().is_empty()));

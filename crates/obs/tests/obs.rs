@@ -1,10 +1,10 @@
-//! Integration tests for `dcn-obs`: exact concurrent sums, bucket
-//! boundaries, JSON round-trips through the vendored `serde_json`, and the
-//! disabled-mode no-op guarantee.
+//! Integration tests for `dcn-obs`: exact concurrent sums, JSON
+//! round-trips through the vendored `serde_json`, and the disabled-mode
+//! no-op guarantee.
 
 use std::sync::Mutex;
 
-use dcn_obs::{counter, histogram, names, snapshot, span, Snapshot};
+use dcn_obs::{counter, names, sketch, snapshot, span, Snapshot};
 
 /// Serializes the tests in this binary: some flip the global enabled flag,
 /// and `dcn_obs::reset` zeroes every metric in the process.
@@ -20,11 +20,11 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 fn concurrent_increments_sum_exactly() {
     let _guard = lock();
     // The DCN_THREADS=4 scenario: four workers hammering the same counter
-    // and histogram must lose no increments.
+    // and sketch must lose no increments.
     const WORKERS: usize = 4;
     const PER_WORKER: u64 = 10_000;
     let c = counter("obs_test.concurrent_total");
-    let h = histogram("obs_test.concurrent_hist", &[0.25, 0.5, 0.75]);
+    let h = sketch("obs_test.concurrent_sketch");
     let before = c.get();
     let h_before = h.count();
     std::thread::scope(|scope| {
@@ -44,23 +44,6 @@ fn concurrent_increments_sum_exactly() {
 }
 
 #[test]
-fn histogram_bucket_boundaries_are_inclusive_upper_bounds() {
-    let _guard = lock();
-    let h = histogram("obs_test.bounds", &[1.0, 10.0, 100.0]);
-    for v in [0.0, 1.0] {
-        h.observe(v); // first bucket, boundary inclusive
-    }
-    h.observe(1.0000001); // second bucket
-    h.observe(100.0); // third bucket
-    h.observe(1e9); // overflow
-    let counts = h.bucket_counts();
-    assert_eq!(counts, vec![2, 1, 1, 1]);
-    assert_eq!(h.bounds(), &[1.0, 10.0, 100.0]);
-    assert_eq!(h.min(), Some(0.0));
-    assert_eq!(h.max(), Some(1e9));
-}
-
-#[test]
 fn snapshot_json_round_trips_through_vendored_serde_json() {
     let _guard = lock();
     counter(names::FORWARD_PASSES_TOTAL).add(7);
@@ -68,7 +51,7 @@ fn snapshot_json_round_trips_through_vendored_serde_json() {
     counter(names::DCN_PASSED_THROUGH_TOTAL).add(2);
     counter(names::DCN_CORRECTED_TOTAL).add(1);
     counter(names::DCN_BASE_PASSES_TOTAL).add(2 + 51);
-    histogram(names::CORRECTOR_VOTE_MARGIN, dcn_obs::FRACTION).observe(0.35);
+    sketch(names::CORRECTOR_VOTE_MARGIN).observe(0.35);
     let snap: Snapshot = snapshot("round-trip");
     let json = snap.to_json();
 
@@ -83,14 +66,17 @@ fn snapshot_json_round_trips_through_vendored_serde_json() {
         .and_then(|v| v.as_f64())
         .expect("forward passes counter");
     assert_eq!(fwd as u64, snap.counter(names::FORWARD_PASSES_TOTAL));
-    let hists = value.get_field("histograms").expect("histograms key");
-    let margin = hists
+    let sketches = value.get_field("sketches").expect("sketches key");
+    let margin = sketches
         .get_field(names::CORRECTOR_VOTE_MARGIN)
-        .expect("vote margin histogram");
-    let bounds = margin.get_field("bounds").and_then(|v| v.as_array()).unwrap();
-    assert_eq!(bounds.len(), dcn_obs::FRACTION.len());
-    let buckets = margin.get_field("buckets").and_then(|v| v.as_array()).unwrap();
-    assert_eq!(bounds.len() + 1, buckets.len());
+        .expect("vote margin sketch");
+    let count = margin.get_field("count").and_then(|v| v.as_f64()).unwrap();
+    let recorded = snap.sketch(names::CORRECTOR_VOTE_MARGIN).unwrap();
+    assert_eq!(count as u64, recorded.count);
+    for q in ["p50", "p90", "p99", "p999"] {
+        let v = margin.get_field(q).and_then(|v| v.as_f64()).unwrap();
+        assert!((0.0..=1.0).contains(&v), "{q} = {v}");
+    }
     let cost = value.get_field("cost").expect("cost key");
     let queries = cost.get_field("queries").and_then(|v| v.as_f64()).unwrap();
     assert_eq!(queries as u64, snap.cost.queries);

@@ -4,8 +4,8 @@
 //! One command per line in, one JSON document per line out:
 //!
 //! * `ping` — liveness probe;
-//! * `snapshot` — the full `dcn-obs` snapshot (counters, histograms,
-//!   quantile sketches, cost model) as one line of JSON;
+//! * `snapshot` — the full `dcn-obs` snapshot (counters, quantile
+//!   sketches, cost model) as one line of JSON;
 //! * `health` — queue depth and watermarks, admission counters, sketch
 //!   latency quantiles, and the detector flag-rate sliding window with
 //!   its drift alarm;

@@ -1,105 +1,18 @@
-//! Closed-loop load generator (`dcn-serve bench`).
+//! The built-in demo model: a trained DCN that needs no artifacts.
 //!
-//! Spawns `N` client threads against an in-process server; each thread
-//! sends its next request only after receiving the previous answer
-//! (closed-loop), so measured latency is honest queueing-plus-service time
-//! and throughput saturates where the batcher does. Per-client-count
-//! results — throughput plus p50/p99/p999/max over every recorded request
-//! latency — land in `results/BENCH_serving.json`. Quantiles come from the
-//! same [`dcn_obs::QuantileSketch`] the live server feeds, so bench and
-//! snapshot numbers share one estimator.
-//!
-//! The demo model is deliberately tiny (the same three-Gaussian-blobs MLP
-//! the fault-tolerance suite trains) so the bench measures the *serving
-//! engine* — batching, queueing, socket turnaround — not GEMM throughput.
+//! The model is deliberately tiny (the same three-Gaussian-blobs MLP the
+//! fault-tolerance suite trains), so a server starts in well under a second
+//! and a test exercises the *serving engine* — batching, queueing, socket
+//! turnaround — rather than GEMM throughput. `dcn-serve serve --demo 1`
+//! serves it, the serving and admin test suites drive it, and the
+//! repository benchmark (`benchmark/`) uses it in its own tests. Load is
+//! measured only by that benchmark (`bash benchmark/run.sh`).
 
-use std::sync::{Arc, Barrier, Mutex, PoisonError};
-use std::time::{Duration, Instant};
-
-use dcn_core::{models, Corrector, Dcn, DcnError, Detector, DetectorConfig, VoteBudget};
+use dcn_core::{models, Corrector, Dcn, DcnError, Detector, DetectorConfig};
 use dcn_data::Dataset;
-use dcn_obs::{QuantileSketch, DEFAULT_SKETCH_CAPACITY};
 use dcn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
-
-use crate::client::Client;
-use crate::protocol::{Request, Response, WireMode};
-use crate::server::{Server, ServerConfig};
-
-/// Load-generator knobs.
-#[derive(Debug, Clone)]
-pub struct BenchConfig {
-    /// Concurrent-client counts to sweep.
-    pub clients: Vec<usize>,
-    /// Requests each client sends (closed-loop).
-    pub requests_per_client: usize,
-    /// Corrector sample count for the demo model.
-    pub corrector_samples: usize,
-    /// Per-request vote budget (unbounded by default).
-    pub budget: VoteBudget,
-    /// Batcher coalescing limit.
-    pub max_batch: usize,
-    /// Wire encoding.
-    pub mode: WireMode,
-    /// Seed for the demo model and the request streams.
-    pub seed: u64,
-}
-
-impl Default for BenchConfig {
-    fn default() -> Self {
-        BenchConfig {
-            clients: vec![1, 4, 16, 64],
-            requests_per_client: 50,
-            corrector_samples: 24,
-            budget: VoteBudget::unbounded(),
-            max_batch: 16,
-            mode: WireMode::Binary,
-            seed: 11,
-        }
-    }
-}
-
-/// One client-count's measurements.
-#[derive(Debug, Clone, Serialize)]
-pub struct BenchPoint {
-    /// Concurrent clients in this run.
-    pub clients: usize,
-    /// Requests completed successfully.
-    pub requests: usize,
-    /// Responses flagged degraded (shed or truncated vote).
-    pub degraded: usize,
-    /// Per-request failures (admission rejections, IO errors).
-    pub errors: usize,
-    /// Wall-clock seconds for the whole run.
-    pub elapsed_s: f64,
-    /// Completed requests per second.
-    pub throughput_rps: f64,
-    /// Median request latency, milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile request latency, milliseconds.
-    pub p99_ms: f64,
-    /// 99.9th-percentile request latency, milliseconds.
-    pub p999_ms: f64,
-    /// Worst observed request latency, milliseconds.
-    pub max_ms: f64,
-    /// Mean request latency, milliseconds.
-    pub mean_ms: f64,
-}
-
-/// The full sweep.
-#[derive(Debug, Clone, Serialize)]
-pub struct BenchReport {
-    /// Logical cores on the host (context for the scaling numbers).
-    pub cores: usize,
-    /// Corrector sample count served.
-    pub corrector_samples: usize,
-    /// Requests each client sent.
-    pub requests_per_client: usize,
-    /// One point per swept client count.
-    pub points: Vec<BenchPoint>,
-}
 
 /// Three separable Gaussian blobs in a 4-dim box — the fault-tolerance
 /// suite's dataset, reused so the serving demo model needs no artifacts.
@@ -123,7 +36,7 @@ pub fn demo_dataset(n: usize, rng: &mut StdRng) -> Result<Dataset, DcnError> {
     Ok(Dataset::new(images, labels, 3)?)
 }
 
-/// A small trained DCN for serving demos, benches, and tests: blobs MLP
+/// A small trained DCN for serving demos and tests: blobs MLP
 /// base, detector fit on synthetic logit families, `m`-vote corrector.
 pub fn demo_dcn(seed: u64, corrector_samples: usize) -> Result<Dcn, DcnError> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -172,210 +85,9 @@ pub fn demo_inputs(n: usize, seed: u64) -> Result<Vec<Tensor>, DcnError> {
     Ok(inputs)
 }
 
-/// Runs the closed-loop sweep against an in-process server.
-///
-/// # Errors
-///
-/// Model construction or server start failures; per-request failures are
-/// *counted*, not fatal.
-pub fn run(config: &BenchConfig) -> Result<BenchReport, DcnError> {
-    let dcn = Arc::new(demo_dcn(config.seed, config.corrector_samples)?);
-    let inputs = Arc::new(demo_inputs(30, config.seed)?);
-    let mut points = Vec::with_capacity(config.clients.len());
-    for &clients in &config.clients {
-        let clients = clients.max(1);
-        let server = Server::start(
-            Arc::clone(&dcn),
-            ServerConfig {
-                mode: config.mode,
-                max_batch: config.max_batch,
-                // Generous queue: the bench measures batching throughput,
-                // not admission control.
-                queue_capacity: (clients * 4).max(64),
-                shed_mark: usize::MAX,
-                ..ServerConfig::default()
-            },
-        )?;
-        let addr = server.addr().to_string();
-        let barrier = Arc::new(Barrier::new(clients + 1));
-        let outcomes: Arc<Mutex<Vec<ClientOutcome>>> =
-            Arc::new(Mutex::new(Vec::with_capacity(clients)));
-        let mut handles = Vec::with_capacity(clients);
-        for c in 0..clients {
-            let addr = addr.clone();
-            let barrier = Arc::clone(&barrier);
-            let inputs = Arc::clone(&inputs);
-            let outcomes = Arc::clone(&outcomes);
-            let requests = config.requests_per_client;
-            let budget = config.budget;
-            let mode = config.mode;
-            let seed = config.seed;
-            handles.push(std::thread::spawn(move || {
-                let outcome = client_loop(&addr, mode, c, requests, seed, &inputs, budget, &barrier);
-                outcomes
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(outcome);
-            }));
-        }
-        barrier.wait();
-        let started = Instant::now();
-        for h in handles {
-            let _ = h.join();
-        }
-        let elapsed = started.elapsed();
-        server.shutdown();
-        let collected = outcomes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .drain(..)
-            .collect::<Vec<_>>();
-        points.push(summarize(clients, &collected, elapsed));
-    }
-    Ok(BenchReport {
-        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        corrector_samples: config.corrector_samples,
-        requests_per_client: config.requests_per_client,
-        points,
-    })
-}
-
-struct ClientOutcome {
-    latencies_ms: Vec<f64>,
-    degraded: usize,
-    errors: usize,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn client_loop(
-    addr: &str,
-    mode: WireMode,
-    client_idx: usize,
-    requests: usize,
-    seed: u64,
-    inputs: &[Tensor],
-    budget: VoteBudget,
-    barrier: &Barrier,
-) -> ClientOutcome {
-    let mut outcome = ClientOutcome {
-        latencies_ms: Vec::with_capacity(requests),
-        degraded: 0,
-        errors: 0,
-    };
-    let mut client = match Client::connect(addr, mode) {
-        Ok(c) => c,
-        Err(_) => {
-            barrier.wait();
-            outcome.errors = requests;
-            return outcome;
-        }
-    };
-    barrier.wait();
-    for i in 0..requests {
-        let global = (client_idx * requests + i) as u64;
-        let request = Request {
-            id: global + 1,
-            seed: seed.wrapping_add(1000).wrapping_add(global),
-            budget,
-            trace: 0,
-            x: inputs[(global as usize) % inputs.len()].clone(),
-        };
-        let sent = Instant::now();
-        match client.classify(&request) {
-            Ok(Response::Ok(r)) => {
-                outcome
-                    .latencies_ms
-                    .push(sent.elapsed().as_secs_f64() * 1e3);
-                if r.degraded {
-                    outcome.degraded += 1;
-                }
-            }
-            Ok(Response::Err(_)) | Err(_) => outcome.errors += 1,
-        }
-    }
-    outcome
-}
-
-fn summarize(clients: usize, outcomes: &[ClientOutcome], elapsed: Duration) -> BenchPoint {
-    // Same estimator as the live server's latency path: one mergeable
-    // fixed-memory sketch per client stream, merged for the report, so
-    // the bench's quantiles and the admin snapshot's quantiles can never
-    // disagree on methodology.
-    let mut sketch = QuantileSketch::new(DEFAULT_SKETCH_CAPACITY);
-    for outcome in outcomes {
-        let mut per_client = QuantileSketch::new(DEFAULT_SKETCH_CAPACITY);
-        for &ms in &outcome.latencies_ms {
-            per_client.observe(ms);
-        }
-        sketch.merge(&per_client);
-    }
-    let requests = sketch.count() as usize;
-    let elapsed_s = elapsed.as_secs_f64().max(1e-9);
-    BenchPoint {
-        clients,
-        requests,
-        degraded: outcomes.iter().map(|o| o.degraded).sum(),
-        errors: outcomes.iter().map(|o| o.errors).sum(),
-        elapsed_s,
-        throughput_rps: requests as f64 / elapsed_s,
-        p50_ms: sketch.quantile(0.5),
-        p99_ms: sketch.quantile(0.99),
-        p999_ms: sketch.quantile(0.999),
-        max_ms: sketch.max().unwrap_or(0.0),
-        mean_ms: if requests == 0 { 0.0 } else { sketch.mean() },
-    }
-}
-
-/// Serializes a report and writes it atomically.
-///
-/// # Errors
-///
-/// Serialization or IO failures.
-pub fn write_report(report: &BenchReport, path: &str) -> Result<(), DcnError> {
-    let json =
-        serde_json::to_string(report).map_err(|e| DcnError::Corrupt(format!("encoding report: {e}")))?;
-    dcn_fault::write_atomic(path, json.as_bytes(), "serve.bench.write").map_err(|e| {
-        DcnError::Io {
-            site: "serve.bench.write_report".to_string(),
-            kind: e.kind(),
-            msg: format!("{path}: {e}"),
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summarize_merges_client_sketches() {
-        let outcomes = vec![
-            ClientOutcome {
-                latencies_ms: vec![1.0, 2.0, 3.0],
-                degraded: 1,
-                errors: 0,
-            },
-            ClientOutcome {
-                latencies_ms: vec![4.0, 100.0],
-                degraded: 0,
-                errors: 2,
-            },
-        ];
-        let p = summarize(2, &outcomes, Duration::from_millis(500));
-        assert_eq!(p.requests, 5);
-        assert_eq!(p.degraded, 1);
-        assert_eq!(p.errors, 2);
-        assert_eq!(p.p50_ms, 3.0);
-        assert_eq!(p.max_ms, 100.0);
-        assert!(p.p50_ms <= p.p99_ms && p.p99_ms <= p.p999_ms && p.p999_ms <= p.max_ms);
-        assert!((p.mean_ms - 22.0).abs() < 1e-9);
-        // Empty runs stay finite.
-        let empty = summarize(1, &[], Duration::from_millis(1));
-        assert_eq!(empty.requests, 0);
-        assert_eq!(empty.p50_ms, 0.0);
-        assert_eq!(empty.max_ms, 0.0);
-        assert_eq!(empty.mean_ms, 0.0);
-    }
 
     #[test]
     fn demo_model_serves_sane_labels() {
@@ -386,26 +98,6 @@ mod tests {
         for x in &inputs {
             let label = dcn.try_classify(x, &mut rng).unwrap();
             assert!(label < 3);
-        }
-    }
-
-    #[test]
-    fn tiny_sweep_produces_a_full_report() {
-        let report = run(&BenchConfig {
-            clients: vec![1, 2],
-            requests_per_client: 4,
-            corrector_samples: 4,
-            ..BenchConfig::default()
-        })
-        .unwrap();
-        assert_eq!(report.points.len(), 2);
-        for point in &report.points {
-            assert_eq!(point.errors, 0);
-            assert!(point.requests > 0);
-            assert!(point.throughput_rps > 0.0);
-            assert!(point.p99_ms >= point.p50_ms);
-            assert!(point.p999_ms >= point.p99_ms);
-            assert!(point.max_ms >= point.p999_ms);
         }
     }
 }

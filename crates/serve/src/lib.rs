@@ -14,7 +14,9 @@
 //! * [`server`] — acceptor, one reader thread per connection, and the
 //!   single batcher thread that drives the model;
 //! * [`client`] — a minimal blocking client for tests and scripting;
-//! * [`bench`] — the closed-loop load generator behind `dcn-serve bench`;
+//! * [`bench`] — the tiny built-in demo model behind `dcn-serve serve
+//!   --demo 1`, also served by tests and the repository benchmark (load
+//!   is measured by `bash benchmark/run.sh`, not by this crate);
 //! * the admin plane (`--admin-addr`) — a second listener answering
 //!   line-JSON `snapshot` / `health` / `trace <id>` / `chrome` / `dump`
 //!   commands without ever touching the data plane's locks.
@@ -65,7 +67,7 @@ pub mod names {
     pub const SERVE_RESPONSES_TOTAL: &str = "serve.responses_total";
     /// Batches executed by the batcher.
     pub const SERVE_BATCHES_TOTAL: &str = "serve.batches_total";
-    /// Jobs per executed batch (histogram).
+    /// Jobs per executed batch (quantile sketch).
     pub const SERVE_BATCH_OCCUPANCY: &str = "serve.batch_occupancy";
     /// Queue-to-response latency in seconds (quantile sketch).
     pub const SERVE_REQUEST_LATENCY: &str = "serve.request_latency_seconds";

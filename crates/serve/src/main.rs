@@ -6,17 +6,14 @@
 //!                  [--threads N] [--trace 1] [--admin-addr 127.0.0.1:7979]
 //!                  [--flight-dir results] [--drift-baseline R]
 //!                  [--drift-tolerance T]
-//! dcn-serve bench  [--clients 1,4,16,64] [--requests 50] [--samples 24]
-//!                  [--seed 11] [--out results/BENCH_serving.json]
 //! ```
 //!
 //! `serve` loads a DCN artifact (or trains the tiny built-in demo model)
-//! and answers classify requests over TCP until killed. `bench` runs the
-//! closed-loop load generator against an in-process server and writes
-//! throughput plus p50/p99 latency per client count.
+//! and answers classify requests over TCP until killed. Load is measured
+//! from outside, by the repository benchmark (`bash benchmark/run.sh`).
 //!
-//! Each subcommand rejects a flag it does not read (exit 2) before it loads
-//! or trains a model. Failures exit with a class-specific code from the
+//! `serve` rejects a flag it does not read (exit 2) before it loads or
+//! trains a model. Failures exit with a class-specific code from the
 //! workspace table, [`dcn_core::EXIT_CODES`], which `dcn-serve help` prints.
 
 use std::collections::HashMap;
@@ -26,13 +23,13 @@ use std::time::Duration;
 
 use dcn_core::{exit_code_legend, Dcn, DcnError};
 use dcn_fault::FaultPlan;
-use dcn_serve::bench::{self, BenchConfig};
+use dcn_serve::bench;
 use dcn_serve::{Server, ServerConfig, WireMode};
 
-const USAGE: &str = "usage: dcn-serve <serve|bench> [flags]
+const USAGE: &str = "usage: dcn-serve serve [flags]
 run `dcn-serve help` for the full flag reference";
 
-/// Flags every subcommand reads: observability, tracing, fault injection.
+/// Flags every command reads: observability, tracing, fault injection.
 const SHARED_FLAGS: &[&str] = &[
     "obs",
     "obs-json",
@@ -59,11 +56,6 @@ const SERVE_FLAGS: &[&str] = &[
     "flight-dir",
     "drift-baseline",
     "drift-tolerance",
-];
-
-/// Flags `bench` reads on top of the shared ones.
-const BENCH_FLAGS: &[&str] = &[
-    "clients", "requests", "samples", "batch", "json", "seed", "out",
 ];
 
 type Command = fn(&HashMap<String, String>) -> Result<(), DcnError>;
@@ -95,7 +87,6 @@ fn main() -> ExitCode {
 fn run(cmd: &str, rest: &[String]) -> Result<(), DcnError> {
     let (known, command): (&[&str], Command) = match cmd {
         "serve" => (SERVE_FLAGS, cmd_serve),
-        "bench" => (BENCH_FLAGS, cmd_bench),
         "help" | "--help" | "-h" => (&[], cmd_help),
         other => {
             return Err(DcnError::Config(format!(
@@ -149,48 +140,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), DcnError> {
     loop {
         std::thread::sleep(Duration::from_secs(3600));
     }
-}
-
-fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), DcnError> {
-    let clients = parse_clients(flag_or(flags, "clients", "1,4,16,64"))?;
-    let config = BenchConfig {
-        clients,
-        requests_per_client: parse_num(flag_or(flags, "requests", "50"), "--requests")?,
-        corrector_samples: parse_num(flag_or(flags, "samples", "24"), "--samples")?,
-        max_batch: parse_num(flag_or(flags, "batch", "16"), "--batch")?,
-        mode: wire_mode(flags)?,
-        seed: parse_num(flag_or(flags, "seed", "11"), "--seed")?,
-        ..BenchConfig::default()
-    };
-    let out = flag_or(flags, "out", "results/BENCH_serving.json");
-    eprintln!(
-        "closed-loop bench: clients {:?}, {} requests each…",
-        config.clients, config.requests_per_client
-    );
-    let report = bench::run(&config)?;
-    for p in &report.points {
-        println!(
-            "{:>3} clients: {:>8.1} req/s  p50 {:>7.2} ms  p99 {:>7.2} ms  p999 {:>7.2} ms  max {:>7.2} ms  ({} ok, {} degraded, {} errors)",
-            p.clients, p.throughput_rps, p.p50_ms, p.p99_ms, p.p999_ms, p.max_ms,
-            p.requests, p.degraded, p.errors
-        );
-    }
-    bench::write_report(&report, out)?;
-    println!("wrote {out}");
-    Ok(())
-}
-
-fn parse_clients(csv: &str) -> Result<Vec<usize>, DcnError> {
-    let clients: Vec<usize> = csv
-        .split(',')
-        .map(|s| parse_num(s.trim(), "--clients"))
-        .collect::<Result<_, _>>()?;
-    if clients.is_empty() || clients.contains(&0) {
-        return Err(DcnError::Config(format!(
-            "--clients expects a comma-separated list of positive counts, got {csv:?}"
-        )));
-    }
-    Ok(clients)
 }
 
 fn wire_mode(flags: &HashMap<String, String>) -> Result<WireMode, DcnError> {
@@ -268,10 +217,11 @@ fn long_help() -> String {
 
 commands:
   serve   answer classify requests over TCP until killed
-  bench   closed-loop load generator; writes results/BENCH_serving.json
 
 serve:  --dcn PATH       DCN artifact from `dcn build` (or --demo 1 to
         --demo 1         train the tiny built-in blobs model)
+        --samples M      corrector votes in the demo model (default 24)
+        --seed N         demo model seed (default 11)
         --addr HOST:PORT bind address (default 127.0.0.1:7878; port 0 = OS pick)
         --json 1|0       line-JSON debug frames instead of binary (default 0)
         --batch N        max requests coalesced per model call (default 16)
@@ -287,11 +237,6 @@ serve:  --dcn PATH       DCN artifact from `dcn build` (or --demo 1 to
         --drift-baseline R  expected detector flag rate (default 0.0)
         --drift-tolerance T max |rate - baseline| before `health` raises
                          drift_alarm (default 1.0 = never)
-
-bench:  --clients CSV    client counts to sweep (default 1,4,16,64)
-        --requests N     requests per client, closed-loop (default 50)
-        --samples M      corrector votes in the demo model (default 24)
-        --out PATH       report path (default results/BENCH_serving.json)
 
 observability: --obs 1|0, --obs-json DIR (also DCN_OBS / DCN_OBS_JSON)
 tracing:       --trace 1|0 per-request span trees (also DCN_TRACE); purely
@@ -378,15 +323,16 @@ mod tests {
         );
         assert_eq!(ok.map(|f| f.len()).ok(), Some(3));
         let ok = parse_flags(
-            &args(&["--clients", "1,4", "--fault-seed", "3"]),
-            BENCH_FLAGS,
+            &args(&["--dcn", "dcn.json", "--fault-seed", "3"]),
+            SERVE_FLAGS,
         );
         assert_eq!(ok.map(|f| f.len()).ok(), Some(2));
         for (argv, known) in [
             (&["--demo", "1", "--no-such-flag", "1"][..], SERVE_FLAGS),
             (&["--shed_mark", "8"], SERVE_FLAGS),
             (&["--clients", "4"], SERVE_FLAGS),
-            (&["--dcn", "dcn.json"], BENCH_FLAGS),
+            (&["--requests", "50"], SERVE_FLAGS),
+            (&["--out", "report.json"], SERVE_FLAGS),
             (&["--demo", "1"], &[]),
         ] {
             let err = parse_flags(&args(argv), known).err();
@@ -395,5 +341,11 @@ mod tests {
                 "{argv:?}: {err:?}"
             );
         }
+        // `bench` is not a command: load is measured by `benchmark/`.
+        let err = run("bench", &args(&["--clients", "4"])).err();
+        assert!(
+            matches!(&err, Some(e @ DcnError::Config(_)) if e.exit_code() == 2),
+            "{err:?}"
+        );
     }
 }

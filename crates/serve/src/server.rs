@@ -350,6 +350,9 @@ fn acceptor_loop(
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
+        // Responses are small frames: without this each one waits on the
+        // client's delayed ACK (Nagle) before it leaves the socket.
+        let _ = stream.set_nodelay(true);
         if dcn_obs::enabled() {
             dcn_obs::counter(names::SERVE_CONNECTIONS_TOTAL).inc();
         }
@@ -480,8 +483,7 @@ fn batcher_loop(
         }
         if dcn_obs::enabled() {
             dcn_obs::counter(names::SERVE_BATCHES_TOTAL).inc();
-            dcn_obs::histogram(names::SERVE_BATCH_OCCUPANCY, dcn_obs::SMALL_COUNT)
-                .observe(jobs.len() as f64);
+            dcn_obs::sketch(names::SERVE_BATCH_OCCUPANCY).observe(jobs.len() as f64);
         }
         // Every enqueue-wait span closes before the batch-assembly clock
         // opens, so a trace's stages never overlap.
@@ -552,4 +554,36 @@ fn error_response(id: u64, e: &DcnError) -> Response {
         code: e.exit_code().clamp(1, 255) as u8,
         msg: e.to_string(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_connections_disable_nagle() {
+        let dcn = Arc::new(crate::bench::demo_dcn(11, 4).unwrap());
+        let server = Server::start(dcn, ServerConfig::default()).unwrap();
+        let mut client =
+            crate::Client::connect(&server.addr().to_string(), WireMode::Binary).unwrap();
+        // An answer means the acceptor has registered the connection: it
+        // pushes to `conns` before it spawns the reader.
+        let x = crate::bench::demo_inputs(1, 11).unwrap().remove(0);
+        let request = crate::Request {
+            id: 1,
+            seed: 1,
+            budget: dcn_core::VoteBudget::unbounded(),
+            trace: 0,
+            x,
+        };
+        assert!(matches!(client.classify(&request), Ok(Response::Ok(_))));
+        let nodelay: Vec<bool> = server
+            .conns
+            .lock()
+            .iter()
+            .map(|c| c.nodelay().unwrap_or(false))
+            .collect();
+        server.shutdown();
+        assert_eq!(nodelay, vec![true]);
+    }
 }

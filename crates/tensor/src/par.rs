@@ -16,8 +16,7 @@
 //!   [`reset`] returns to the environment default.
 //!
 //! Small workloads stay serial: a parallel region is only opened when every
-//! worker would receive at least `min_chunk` units (the larger of the
-//! global [`ParConfig::min_chunk`] and the call site's own floor). Nested
+//! worker would receive at least the call site's own floor of units. Nested
 //! parallel regions are suppressed — a worker thread that reaches another
 //! parallel primitive runs it inline, so e.g. a batch-chunked forward pass
 //! that calls a parallelizable matmul does not oversubscribe the machine.
@@ -26,16 +25,12 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Thread budget and work floor for the parallel executor.
+/// Thread budget and kernel choice for the parallel executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParConfig {
     /// Maximum worker threads per parallel region. `1` is the exact legacy
     /// serial path (no scoped threads are spawned at all).
     pub threads: usize,
-    /// Global minimum number of work units per worker; call sites may
-    /// demand more for fine-grained units. Raising this biases toward the
-    /// serial path for small batches.
-    pub min_chunk: usize,
     /// Opt-in to the fused-multiply-add GEMM microkernels (`DCN_FMA=1`).
     ///
     /// Fused contraction performs one rounding per multiply-add instead of
@@ -58,25 +53,16 @@ impl ParConfig {
     pub fn serial() -> Self {
         ParConfig {
             threads: 1,
-            min_chunk: 1,
             fma: false,
         }
     }
 
-    /// A budget of `threads` workers with the default work floor.
+    /// A budget of `threads` workers.
     pub fn with_threads(threads: usize) -> Self {
         ParConfig {
             threads: threads.max(1),
-            min_chunk: 1,
             fma: false,
         }
-    }
-
-    /// Builder: require at least `min_chunk` units per worker.
-    #[must_use]
-    pub fn min_chunk(mut self, min_chunk: usize) -> Self {
-        self.min_chunk = min_chunk.max(1);
-        self
     }
 
     /// Builder: opt in to (or out of) the fused-multiply-add kernels.
@@ -91,7 +77,6 @@ impl Default for ParConfig {
     fn default() -> Self {
         ParConfig {
             threads: default_threads(),
-            min_chunk: 1,
             fma: default_fma(),
         }
     }
@@ -99,8 +84,6 @@ impl Default for ParConfig {
 
 /// Programmatic thread override; 0 = unset (fall back to the environment).
 static OVERRIDE_THREADS: AtomicUsize = AtomicUsize::new(0);
-/// Programmatic work-floor override; 0 = unset.
-static OVERRIDE_MIN_CHUNK: AtomicUsize = AtomicUsize::new(0);
 /// Programmatic FMA override; 0 = unset, 1 = forced off, 2 = forced on.
 static OVERRIDE_FMA: AtomicUsize = AtomicUsize::new(0);
 
@@ -137,24 +120,20 @@ fn default_fma() -> bool {
 /// default.
 pub fn configure(cfg: ParConfig) {
     OVERRIDE_THREADS.store(cfg.threads.max(1), Ordering::Relaxed);
-    OVERRIDE_MIN_CHUNK.store(cfg.min_chunk.max(1), Ordering::Relaxed);
     OVERRIDE_FMA.store(if cfg.fma { 2 } else { 1 }, Ordering::Relaxed);
 }
 
 /// Clears any [`configure`] override.
 pub fn reset() {
     OVERRIDE_THREADS.store(0, Ordering::Relaxed);
-    OVERRIDE_MIN_CHUNK.store(0, Ordering::Relaxed);
     OVERRIDE_FMA.store(0, Ordering::Relaxed);
 }
 
 fn current() -> ParConfig {
     let t = OVERRIDE_THREADS.load(Ordering::Relaxed);
-    let m = OVERRIDE_MIN_CHUNK.load(Ordering::Relaxed);
     let f = OVERRIDE_FMA.load(Ordering::Relaxed);
     ParConfig {
         threads: if t == 0 { default_threads() } else { t },
-        min_chunk: m.max(1),
         fma: match f {
             0 => default_fma(),
             1 => false,
@@ -201,8 +180,7 @@ fn effective_threads(units: usize, min_units: usize) -> usize {
     if cfg.threads <= 1 {
         return 1;
     }
-    let floor = min_units.max(cfg.min_chunk).max(1);
-    cfg.threads.min(units / floor).max(1)
+    cfg.threads.min(units / min_units.max(1)).max(1)
 }
 
 /// Records one parallel-region dispatch decision into the observability
@@ -217,7 +195,7 @@ fn record_region(units: usize, workers: usize) {
         dcn_obs::counter(dcn_obs::names::PAR_SERIAL_REGIONS_TOTAL).inc();
     }
     dcn_obs::counter(dcn_obs::names::PAR_UNITS_TOTAL).add(units as u64);
-    dcn_obs::histogram(dcn_obs::names::PAR_WORKERS, dcn_obs::SMALL_COUNT).observe(workers as f64);
+    dcn_obs::sketch(dcn_obs::names::PAR_WORKERS).observe(workers as f64);
 }
 
 /// Balanced contiguous partition of `0..units` into `workers` spans,
@@ -412,11 +390,11 @@ mod tests {
 
     #[test]
     fn small_workloads_stay_serial() {
-        configure(ParConfig::with_threads(8).min_chunk(100));
+        configure(ParConfig::with_threads(8));
         // 7 units with a floor of 100 per worker → serial, single call.
         let mut calls = std::sync::atomic::AtomicUsize::new(0);
         let mut data = vec![0u8; 7];
-        for_each_unit_chunk(&mut data, 1, 1, |_, _| {
+        for_each_unit_chunk(&mut data, 1, 100, |_, _| {
             calls.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(*calls.get_mut(), 1);
@@ -440,12 +418,10 @@ mod tests {
 
     #[test]
     fn configure_and_reset_round_trip() {
-        configure(ParConfig::with_threads(3).min_chunk(5));
+        configure(ParConfig::with_threads(3));
         assert_eq!(ParConfig::current().threads, 3);
-        assert_eq!(ParConfig::current().min_chunk, 5);
         reset();
         assert!(ParConfig::current().threads >= 1);
-        assert_eq!(ParConfig::current().min_chunk, 1);
         assert_eq!(ParConfig::serial().threads, 1);
         assert!(!ParConfig::serial().fma);
         assert!(ParConfig::with_threads(2).fma(true).fma);

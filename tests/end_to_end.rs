@@ -144,9 +144,9 @@ fn full_pipeline_trains_attacks_detects_and_corrects() {
         assert!(snap.counter(names::DETECTOR_FLAGGED_TOTAL) > 0);
         assert!(snap.counter(names::DCN_QUERIES_TOTAL) > 0);
         assert!(
-            snap.histogram(names::CORRECTOR_VOTE_MARGIN)
-                .is_some_and(|h| h.count > 0),
-            "vote-margin histogram empty"
+            snap.sketch(names::CORRECTOR_VOTE_MARGIN)
+                .is_some_and(|s| s.count > 0),
+            "vote-margin sketch empty"
         );
         assert_eq!(snap.cost.queries, snap.cost.passed_through + snap.cost.corrected);
         assert!(snap.cost.amortized_passes_per_query() >= 1.0);

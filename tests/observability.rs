@@ -120,18 +120,18 @@ fn exact_accounting_and_bitwise_noninterference() {
         2 * queries + corrected * M as u64
     );
 
-    // --- Vote-margin histogram and spans. ---
+    // --- Vote-margin sketch and spans. ---
     let margin = snap
-        .histogram(names::CORRECTOR_VOTE_MARGIN)
-        .expect("vote-margin histogram registered");
+        .sketch(names::CORRECTOR_VOTE_MARGIN)
+        .expect("vote-margin sketch registered");
     assert_eq!(margin.count, corrected);
     assert!(margin.max.unwrap_or(0.0) <= 1.0);
     let classify_span = snap
-        .histogram("span.dcn.classify.seconds")
+        .sketch("span.dcn.classify.seconds")
         .expect("dcn.classify span recorded");
     assert_eq!(classify_span.count, queries);
     let vote_span = snap
-        .histogram("span.dcn.classify/corrector.vote.seconds")
+        .sketch("span.dcn.classify/corrector.vote.seconds")
         .expect("nested corrector span recorded");
     assert_eq!(vote_span.count, corrected);
 
@@ -148,7 +148,7 @@ fn exact_accounting_and_bitwise_noninterference() {
     let path = snap.write_to(&dir).expect("write snapshot");
     let text = std::fs::read_to_string(&path).unwrap();
     let value: serde_json::Value = serde_json::from_str(&text).expect("snapshot JSON parses");
-    for key in ["run", "counters", "histograms", "cost"] {
+    for key in ["run", "counters", "sketches", "cost"] {
         assert!(value.get_field(key).is_some(), "missing top-level key {key}");
     }
     let cost = value.get_field("cost").unwrap();
