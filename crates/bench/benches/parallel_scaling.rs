@@ -29,7 +29,7 @@ const GEMM_SHAPES: &[(usize, usize, usize, &str)] = &[
 ];
 
 /// A network wide enough that per-sample inference dominates the parallel
-/// region's thread-spawn overhead (the regime the defenses actually run in;
+/// region's dispatch overhead (the regime the defenses actually run in;
 /// the paper's nets are far larger still).
 fn wide_net(rng: &mut StdRng) -> Network {
     let mut net = Network::new(vec![IN_DIM]);

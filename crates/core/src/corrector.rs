@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use dcn_nn::Classifier;
-use dcn_tensor::{par, scratch, Tensor};
+use dcn_tensor::{scratch, Tensor};
 use rand::Rng;
 use rand_distr::{Distribution, Uniform};
 use serde::{Deserialize, Serialize};
@@ -270,35 +270,11 @@ impl Corrector {
         batch_shape.push(m);
         batch_shape.extend_from_slice(x.shape());
         let batch = Tensor::from_vec(batch_shape, batch_buf)?;
-        // Vote samples are classified in contiguous chunks across the
-        // thread budget; per-example logits (and thus labels) are
-        // bitwise-identical to the single-batch serial call.
-        let workers = par::planned_workers(m, 4);
-        let labels: Vec<usize> = if workers <= 1 {
-            let logits = base.logits_batch(&batch)?;
-            let labels = logits.argmax_rows()?;
-            scratch::recycle(logits.into_vec());
-            labels
-        } else {
-            let chunks: Vec<Tensor> = par::partition_units(m, workers)
-                .into_iter()
-                .map(|(start, n)| {
-                    let mut shape = Vec::with_capacity(x.rank() + 1);
-                    shape.push(n);
-                    shape.extend_from_slice(x.shape());
-                    Tensor::from_vec(shape, batch.data()[start * len..(start + n) * len].to_vec())
-                })
-                .collect::<std::result::Result<_, _>>()?;
-            let results = par::par_map(&chunks, 1, |_, chunk| base.predict_batch(chunk));
-            let mut labels = Vec::with_capacity(m);
-            for r in results {
-                labels.extend(r?);
-            }
-            for chunk in chunks {
-                scratch::recycle(chunk.into_vec());
-            }
-            labels
-        };
+        // One batched call: a network's forward splits the `m` samples
+        // across the thread budget itself, bitwise-identically to serial.
+        let logits = base.logits_batch(&batch)?;
+        let labels = logits.argmax_rows()?;
+        scratch::recycle(logits.into_vec());
         scratch::recycle(batch.into_vec());
         Ok(BoundedVote::tally(&labels, base.class_count(), m))
     }

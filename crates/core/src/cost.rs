@@ -15,7 +15,7 @@ use dcn_tensor::Tensor;
 /// A [`Classifier`] decorator that counts per-example forward passes.
 ///
 /// Thread-safe: the counter is atomic, so the same wrapper can be shared by
-/// scoped threads fanning out over attack targets.
+/// parallel workers fanning out over attack targets.
 #[derive(Debug)]
 pub struct CountingClassifier<C> {
     inner: C,

@@ -130,6 +130,14 @@ fn config_lock() -> MutexGuard<'static, ()> {
     }
 }
 
+/// Parallel regions recorded so far that split across more than one
+/// worker (counted only while collection is on). The serial count is read
+/// first, so a region recorded between the two reads cannot underflow it.
+fn split_regions() -> u64 {
+    let serial = dcn_obs::counter(dcn_obs::names::PAR_SERIAL_REGIONS_TOTAL).get();
+    dcn_obs::counter(dcn_obs::names::PAR_REGIONS_TOTAL).get() - serial
+}
+
 #[test]
 fn network_forward_is_bitwise_identical_across_thread_budgets() {
     let _guard = config_lock();
@@ -143,11 +151,17 @@ fn network_forward_is_bitwise_identical_across_thread_budgets() {
     net.push(Layer::Dense(Dense::new(8, 3, &mut rng).unwrap()));
     let x = Tensor::randn(&[35, 512], 0.0, 1.0, &mut rng);
 
+    dcn_obs::set_enabled(true);
     par::configure(ParConfig::serial());
     let reference = net.forward(&x).unwrap();
     for threads in [2, 4, 8] {
         par::configure(ParConfig::with_threads(threads));
+        let before = split_regions();
         let out = net.forward(&x).unwrap();
+        assert!(
+            split_regions() > before,
+            "forward opened no multi-worker region at {threads} threads"
+        );
         assert_eq!(reference.shape(), out.shape());
         for (i, (a, b)) in reference.data().iter().zip(out.data()).enumerate() {
             assert_eq!(
@@ -158,30 +172,43 @@ fn network_forward_is_bitwise_identical_across_thread_budgets() {
         }
     }
     par::reset();
+    dcn_obs::clear_enabled_override();
 }
 
 #[test]
 fn corrector_votes_are_identical_across_thread_budgets() {
     let _guard = config_lock();
-    let net = linear_net(&[2.0, -1.5, 0.3, -0.7, 1.1, 0.4, 0.1, -0.2, 0.0]);
+    let mut rng = StdRng::seed_from_u64(201);
+    // Wide inputs, as in the forward test above, so the 50-sample vote batch
+    // clears `Network::forward`'s ~4096-element floor per worker and the
+    // vote really splits across workers.
+    let mut net = Network::new(vec![512]);
+    net.push(Layer::Dense(Dense::new(512, 3, &mut rng).unwrap()));
     let corrector = Corrector::new(0.3, 50).unwrap();
-    let x = Tensor::from_slice(&[0.1, -0.2]);
+    let x = Tensor::randn(&[512], 0.0, 0.05, &mut rng);
 
     // Noise is drawn serially up front inside `vote_counts`, so the same
     // seed yields the same 50 sample points under every budget; the chunked
     // classification must then reproduce the serial votes exactly.
+    dcn_obs::set_enabled(true);
     par::configure(ParConfig::serial());
     let reference = corrector
         .vote_counts(&net, &x, &mut StdRng::seed_from_u64(33))
         .unwrap();
     for threads in [2, 4, 8] {
         par::configure(ParConfig::with_threads(threads));
+        let before = split_regions();
         let votes = corrector
             .vote_counts(&net, &x, &mut StdRng::seed_from_u64(33))
             .unwrap();
+        assert!(
+            split_regions() > before,
+            "the vote opened no multi-worker region at {threads} threads"
+        );
         assert_eq!(reference, votes, "vote drift at {threads} threads");
     }
     par::reset();
+    dcn_obs::clear_enabled_override();
 }
 
 /// Stateless in shape, stateful in labeling: hands out labels round-robin

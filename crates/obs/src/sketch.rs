@@ -10,10 +10,13 @@
 //! sketches merge into one with the same bound — so per-thread or
 //! per-window sketches can be combined without resampling.
 //!
-//! Quantile queries interpolate linearly between centroid mean ranks;
-//! while the stream still fits in the centroid budget the answers are
-//! *exact* (every observation is its own centroid), and beyond that the
-//! error is bounded by the local centroid spacing.
+//! A centroid that has only ever held one value covers its whole rank
+//! range with that value; a merged centroid sits at its mean rank, and
+//! quantile queries interpolate linearly across merged centroids and the
+//! gaps between centroids. While the stream's distinct values fit in the
+//! centroid budget the answers are therefore *exact*, repeated values
+//! included, and beyond that the error is bounded by the local centroid
+//! spacing.
 //!
 //! This is the workspace's one distribution type: span and request
 //! latencies, vote margins, batch occupancy, parallel-region widths,
@@ -27,19 +30,30 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Default centroid budget for registry-backed sketches: 64 centroids ≈
-/// 1 KiB, with tail error far below the jitter of any latency measurement.
+/// 1.5 KiB, with tail error far below the jitter of any latency measurement.
 pub const DEFAULT_SKETCH_CAPACITY: usize = 64;
 
 /// A mergeable fixed-memory quantile sketch (streaming histogram).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
     capacity: usize,
-    /// `(value, weight)` centroids, sorted by value, weights ≥ 1.
-    centroids: Vec<(f64, u64)>,
+    /// Centroids sorted by value.
+    centroids: Vec<Centroid>,
     count: u64,
     sum: f64,
     min: f64,
     max: f64,
+}
+
+/// A run of observations summarized by their mean and count.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Centroid {
+    value: f64,
+    /// Observations summarized, ≥ 1.
+    weight: u64,
+    /// Whether every observation had exactly `value`: true until a
+    /// compaction merges two centroids.
+    single: bool,
 }
 
 impl QuantileSketch {
@@ -97,19 +111,24 @@ impl QuantileSketch {
         if !v.is_finite() {
             return;
         }
-        self.insert_centroid(v, 1);
+        self.insert_centroid(Centroid {
+            value: v,
+            weight: 1,
+            single: true,
+        });
     }
 
     /// Merges `other` into `self`. Merging is commutative up to the
     /// compaction tie-breaking noise: `merge(a, b)` and `merge(b, a)`
     /// answer every quantile within the local centroid spacing.
     pub fn merge(&mut self, other: &QuantileSketch) {
-        for &(v, w) in &other.centroids {
-            self.insert_centroid(v, w);
+        for &c in &other.centroids {
+            self.insert_centroid(c);
         }
     }
 
-    fn insert_centroid(&mut self, v: f64, w: u64) {
+    fn insert_centroid(&mut self, c: Centroid) {
+        let (v, w) = (c.value, c.weight);
         if w == 0 {
             return;
         }
@@ -121,16 +140,15 @@ impl QuantileSketch {
         if v > self.max {
             self.max = v;
         }
-        let idx = self
-            .centroids
-            .partition_point(|&(c, _)| c < v);
-        if let Some(&mut (c, ref mut cw)) = self.centroids.get_mut(idx) {
-            if c == v {
-                *cw += w;
+        let idx = self.centroids.partition_point(|e| e.value < v);
+        if let Some(existing) = self.centroids.get_mut(idx) {
+            if existing.value == v {
+                existing.weight += w;
+                existing.single &= c.single;
                 return;
             }
         }
-        self.centroids.insert(idx, (v, w));
+        self.centroids.insert(idx, c);
         if self.centroids.len() > self.capacity {
             self.compact();
         }
@@ -142,52 +160,56 @@ impl QuantileSketch {
         let mut best = 0usize;
         let mut best_gap = f64::INFINITY;
         for i in 0..self.centroids.len() - 1 {
-            let gap = self.centroids[i + 1].0 - self.centroids[i].0;
+            let gap = self.centroids[i + 1].value - self.centroids[i].value;
             if gap < best_gap {
                 best_gap = gap;
                 best = i;
             }
         }
-        let (v1, w1) = self.centroids[best];
-        let (v2, w2) = self.centroids[best + 1];
-        let w = w1 + w2;
-        let v = (v1 * w1 as f64 + v2 * w2 as f64) / w as f64;
-        self.centroids[best] = (v, w);
-        self.centroids.remove(best + 1);
+        let a = self.centroids[best];
+        let b = self.centroids.remove(best + 1);
+        let weight = a.weight + b.weight;
+        self.centroids[best] = Centroid {
+            value: (a.value * a.weight as f64 + b.value * b.weight as f64) / weight as f64,
+            weight,
+            single: false,
+        };
     }
 
-    /// The quantile at `q ∈ [0, 1]` (clamped), by linear interpolation
-    /// between centroid mean ranks; 0 when empty. `quantile(0.0)` is the
-    /// exact minimum and `quantile(1.0)` the exact maximum.
+    /// The quantile at `q ∈ [0, 1]` (clamped); 0 when empty. A
+    /// single-valued centroid answers its value across its whole rank
+    /// range; elsewhere the answer interpolates linearly between the
+    /// neighbouring centroids' ranks. `quantile(1.0)` is the exact maximum.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
         let q = q.clamp(0.0, 1.0);
         let target = q * (self.count - 1) as f64;
-        // Each centroid's mass sits (conceptually) at its mean rank:
-        // the ranks it covers are [cum, cum + w), centered at
-        // cum + (w - 1) / 2.
+        // A centroid covers ranks [cum, cum + w - 1]. A single-valued one
+        // holds its value across all of them; a merged one is known only
+        // at its mean rank, the middle of that range.
         let mut cum = 0u64;
-        let mut prev: Option<(f64, f64)> = None; // (mean rank, value)
-        for &(v, w) in &self.centroids {
-            let mean_rank = cum as f64 + (w - 1) as f64 / 2.0;
-            if target <= mean_rank {
+        let mut prev: Option<(f64, f64)> = None; // (last rank, value)
+        for c in &self.centroids {
+            let (lo, hi) = (cum as f64, (cum + c.weight - 1) as f64);
+            let (first, last) = if c.single {
+                (lo, hi)
+            } else {
+                let mid = (lo + hi) / 2.0;
+                (mid, mid)
+            };
+            if target <= last {
                 return match prev {
-                    None => self.min.max(v.min(self.max)).min(v),
-                    Some((pr, pv)) => {
-                        let span = mean_rank - pr;
-                        if span <= 0.0 {
-                            v
-                        } else {
-                            pv + (v - pv) * (target - pr) / span
-                        }
+                    Some((pr, pv)) if target < first => {
+                        pv + (c.value - pv) * (target - pr) / (first - pr)
                     }
+                    _ => c.value,
                 }
                 .clamp(self.min, self.max);
             }
-            cum += w;
-            prev = Some((mean_rank, v));
+            cum += c.weight;
+            prev = Some((last, c.value));
         }
         self.max
     }
@@ -291,6 +313,20 @@ mod tests {
         let p99 = s.quantile(0.99);
         assert!(p99 > 950.0 && p99 <= 996.0, "p99 {p99}");
         assert_eq!(s.quantile(1.0), 996.0);
+    }
+
+    #[test]
+    fn repeated_values_are_exact() {
+        // 288 ones and 252 twos: each value is one single-valued centroid
+        // holding its value across its whole rank range.
+        let mut s = QuantileSketch::new(64);
+        for i in 0..540 {
+            s.observe(if i < 288 { 1.0 } else { 2.0 });
+        }
+        assert_eq!(s.quantile(0.0), 1.0);
+        assert_eq!(s.quantile(0.5), 1.0);
+        assert_eq!(s.quantile(0.99), 2.0);
+        assert_eq!(s.quantile(1.0), 2.0);
     }
 
     #[test]

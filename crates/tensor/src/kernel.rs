@@ -133,12 +133,12 @@ impl Madd for Fused {
 #[derive(Clone, Copy)]
 struct OutPtr(*mut f32);
 
-// SAFETY: `OutPtr` only carries the base address across the scoped-thread
+// SAFETY: `OutPtr` only carries the base address across the worker-thread
 // boundary. The parallel drivers guarantee that workers write disjoint
 // element sets (tile-aligned row spans × block-aligned column spans from
 // `par::partition_units` never overlap) and never read the buffer, and the
 // exclusive `&mut` borrow of the underlying slice is held by the driver for
-// the whole scoped region, so the shared address cannot alias any other
+// the whole region, so the shared address cannot alias any other
 // live access.
 unsafe impl Send for OutPtr {}
 // SAFETY: as for `Send` — workers only write provably disjoint elements.
@@ -959,7 +959,8 @@ pub fn par_gemm_nn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n:
         let mut packed = scratch::take(jbl * k * NR);
         pack_b(b, &mut packed, jb0, k, n);
         // SAFETY: `dst` spans the exclusively borrowed `out` (exactly m·n
-        // elements, asserted above), which outlives the scoped workers.
+        // elements, asserted above), which outlives the region:
+        // `par::run_workers` returns only once every worker has finished.
         // Workers write disjoint regions: `partition_units` yields
         // non-overlapping tile-aligned row spans and block-aligned column
         // spans, and each (row, column) element belongs to exactly one

@@ -1,12 +1,12 @@
 //! Deterministic data-parallel execution for batch-dimension work.
 //!
 //! Every hot loop in this workspace is *unit-parallel*: matmul output rows,
-//! `im2col` images, forward-pass examples, corrector vote samples. Each unit
-//! is computed by a pure function of the inputs, so splitting the units
-//! across threads cannot change any unit's result — parallel output is
-//! **bitwise identical** to the serial path. The executor here only ever
-//! splits *between* units; it never splits (and therefore never reorders)
-//! the floating-point reduction *inside* a unit.
+//! `im2col` images, forward-pass examples. Each unit is computed by a pure
+//! function of the inputs, so splitting the units across threads cannot
+//! change any unit's result — parallel output is **bitwise identical** to
+//! the serial path. The executor here only ever splits *between* units; it
+//! never splits (and therefore never reorders) the floating-point reduction
+//! *inside* a unit.
 //!
 //! Configuration is process-global:
 //!
@@ -17,19 +17,56 @@
 //!
 //! Small workloads stay serial: a parallel region is only opened when every
 //! worker would receive at least the call site's own floor of units. Nested
-//! parallel regions are suppressed — a worker thread that reaches another
-//! parallel primitive runs it inline, so e.g. a batch-chunked forward pass
-//! that calls a parallelizable matmul does not oversubscribe the machine.
+//! parallel regions are suppressed — a thread already running a region's
+//! slot runs any region it reaches inline, so e.g. a batch-chunked forward
+//! pass that calls a parallelizable matmul does not oversubscribe the
+//! machine.
+//!
+//! # The parked pool
+//!
+//! Regions run on one process-lifetime pool of parked worker threads. A
+//! region of `n` slots runs slot 0 on the calling thread and slot `w ≥ 1`
+//! on parked worker `w − 1`, and returns only once every slot has finished.
+//! Opening a region therefore costs a queue push and a wake per worker, not
+//! a thread spawn and join; a worker polls its queue briefly before it
+//! parks, so the back-to-back regions of one forward pass skip the wake.
+//! The pool grows lazily to the widest region asked for —
+//! `ParConfig::threads − 1` workers for regions sized through
+//! [`planned_workers`] — and a budget of 1 never starts a worker. A worker
+//! outlives its region, so its thread-local state, above all its
+//! [`crate::scratch`] pool, stays warm from one region to the next.
+//!
+//! * **Lifetimes.** Slot tasks borrow the caller's stack. The caller cannot
+//!   leave the region, by return or by unwind, before every worker has
+//!   finished its task.
+//! * **Panics.** A panicking slot does not cut the region short: the caller
+//!   still waits for every slot, then resumes the panic of the
+//!   lowest-numbered slot that panicked. A worker catches its task's panic
+//!   and goes back to its queue, so the pool never shrinks and a later
+//!   region never waits on a dead worker.
+//! * **Nesting.** A region opened inside a slot — on a worker, or in the
+//!   caller's slot 0 — runs all its slots inline on that thread. Workers
+//!   therefore block only on their own job queue.
+//! * **Concurrent callers.** Several threads may open regions at once (the
+//!   serving batcher and a request thread, two in-process parameter-server
+//!   workers). Their jobs queue FIFO on each worker, so one region may wait
+//!   behind another's job. That costs time but cannot deadlock: every job
+//!   runs to completion without waiting on anything.
 
 use std::cell::Cell;
+use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{mpsc, OnceLock};
+
+use dcn_obs::ordered;
 
 /// Thread budget and kernel choice for the parallel executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParConfig {
-    /// Maximum worker threads per parallel region. `1` is the exact legacy
-    /// serial path (no scoped threads are spawned at all).
+    /// Maximum worker threads per parallel region, the calling thread
+    /// included. `1` is the exact legacy serial path (no pool worker is
+    /// started at all).
     pub threads: usize,
     /// Opt-in to the fused-multiply-add GEMM microkernels (`DCN_FMA=1`).
     ///
@@ -143,8 +180,8 @@ fn current() -> ParConfig {
 }
 
 thread_local! {
-    /// Set while the current thread is a parallel-region worker; nested
-    /// regions run inline instead of spawning.
+    /// Set while the current thread runs a region's slot (always, on a
+    /// pool worker); nested regions run inline instead of dispatching.
     static IN_PARALLEL: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -246,18 +283,7 @@ where
         f(0, data);
         return;
     }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let mut rest = data;
-        for (start, len) in partition(units, workers) {
-            let (chunk, tail) = rest.split_at_mut(len * unit_len);
-            rest = tail;
-            scope.spawn(move || {
-                IN_PARALLEL.with(|flag| flag.set(true));
-                f(start, chunk);
-            });
-        }
-    });
+    run_chunks(data, unit_len, workers, &f);
 }
 
 /// Order-preserving parallel map: `f(i, &items[i])` for every item, results
@@ -277,45 +303,32 @@ where
     if workers <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let f = &f;
-    let spans = partition(items.len(), workers);
-    let mut results: Vec<Vec<R>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = spans
-            .iter()
-            .map(|&(start, len)| {
-                scope.spawn(move || {
-                    IN_PARALLEL.with(|flag| flag.set(true));
-                    items[start..start + len]
-                        .iter()
-                        .enumerate()
-                        .map(|(off, t)| f(start + off, t))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("parallel worker panicked"));
+    let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    run_chunks(&mut out, 1, workers, &|first, chunk: &mut [Option<R>]| {
+        for ((i, item), slot) in (first..).zip(&items[first..]).zip(chunk) {
+            *slot = Some(f(i, item));
         }
     });
-    results.into_iter().flatten().collect()
+    // Every slot is filled: a task that panicked was resumed above.
+    out.into_iter().flatten().collect()
 }
 
-/// Runs `f(worker_index)` on `workers` scoped threads — the raw primitive
-/// behind the intra-GEMM 2-D partition in `crate::kernel`, where workers
-/// write disjoint (row-tile-range × column-block-range) regions of one
-/// output buffer and therefore cannot use the slice-splitting
-/// [`for_each_unit_chunk`].
+/// Runs `f(worker_index)` for every index in `0..workers` as one region —
+/// the raw primitive behind the intra-GEMM 2-D partition in
+/// `crate::kernel`, where workers write disjoint (row-tile-range ×
+/// column-block-range) regions of one output buffer and therefore cannot
+/// use the slice-splitting [`for_each_unit_chunk`].
 ///
 /// `workers <= 1` runs `f(0)` inline on the current thread (the exact
-/// serial path — no threads are spawned). Each spawned worker is marked as
-/// a parallel-region worker, so nested parallel primitives run inline.
-/// `units` is the region's work-unit count, recorded into the
-/// observability layer only.
+/// serial path — no worker is woken). Otherwise index 0 runs on the calling
+/// thread and index `w` on parked worker `w − 1`, each marked as inside a
+/// parallel region so nested parallel primitives run inline. `units` is the
+/// region's work-unit count, recorded into the observability layer only.
 ///
 /// Callers are expected to have sized `workers` through
 /// [`planned_workers`], which honors the global configuration and the
-/// nested-region guard.
+/// nested-region guard; the pool grows to the largest `workers − 1` asked
+/// for.
 pub fn run_workers<F>(workers: usize, units: usize, f: F)
 where
     F: Fn(usize) + Sync,
@@ -327,14 +340,187 @@ where
         return;
     }
     let f = &f;
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            scope.spawn(move || {
-                IN_PARALLEL.with(|flag| flag.set(true));
-                f(w);
-            });
+    let mut tasks: Vec<_> = (0..workers).map(|w| move || f(w)).collect();
+    run_slots(&mut tasks);
+}
+
+/// Splits `data` into the balanced `workers`-way partition of its
+/// `unit_len` records and runs `f(first_unit, chunk)` on each chunk as one
+/// region.
+fn run_chunks<T, F>(data: &mut [T], unit_len: usize, workers: usize, f: &F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    let mut rest = data;
+    let mut tasks: Vec<_> = partition(rest.len() / unit_len, workers)
+        .into_iter()
+        .map(|(start, len)| {
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(len * unit_len);
+            rest = tail;
+            move || f(start, chunk)
+        })
+        .collect();
+    run_slots(&mut tasks);
+}
+
+/// Runs one region: `tasks[0]` on the calling thread and `tasks[w]` on
+/// parked worker `w − 1`, returning once every task has finished. Inside
+/// another region, or at a budget of 1, every task runs inline here.
+fn run_slots<F: FnMut() + Send>(tasks: &mut [F]) {
+    let Some((own, rest)) = tasks.split_first_mut() else {
+        return;
+    };
+    if in_parallel_region() || current().threads <= 1 {
+        let outcome = as_slot(|| {
+            own();
+            rest.iter_mut().for_each(|task| task());
+        });
+        if let Err(payload) = outcome {
+            panic::resume_unwind(payload);
         }
-    });
+        return;
+    }
+    // Start every missing worker before the first job is queued, so a
+    // failed spawn unwinds while no worker holds a borrow of this stack.
+    let mut link = &POOL;
+    for _ in 0..rest.len() {
+        link = &link.get_or_init(Worker::spawn).next;
+    }
+    let (done, finished) = mpsc::channel();
+    let mut link = &POOL;
+    for (slot, task) in (1..).zip(rest.iter_mut()) {
+        let worker: &'static Worker = link.get_or_init(Worker::spawn);
+        let task: &mut (dyn FnMut() + Send) = task;
+        // SAFETY: the transmute only erases the borrow's lifetime; the
+        // reference itself is unchanged. The worker's use of it ends before
+        // it reports the slot on `done`, and this function cannot return or
+        // unwind before it has received every slot's report (or every
+        // job, and with it every copy of `done`, is gone): the caller's own
+        // slot runs under `catch_unwind`, every worker was started above,
+        // and a push only locks an `ordered` mutex that absorbs poisoning
+        // and is never held while another lock is taken. `tasks` outlives
+        // this call, and each element is handed to exactly one worker.
+        let task = unsafe {
+            std::mem::transmute::<&mut (dyn FnMut() + Send), &'static mut (dyn FnMut() + Send)>(
+                task,
+            )
+        };
+        worker.push(Job {
+            task,
+            slot,
+            done: done.clone(),
+        });
+        link = &worker.next;
+    }
+    drop(done);
+    // Payloads are kept, not dropped, until every slot has reported: a
+    // payload's drop may itself panic.
+    let mut panics = Vec::new();
+    if let Err(payload) = as_slot(own) {
+        panics.push((0, payload));
+    }
+    for (slot, outcome) in finished.iter().take(rest.len()) {
+        if let Err(payload) = outcome {
+            panics.push((slot, payload));
+        }
+    }
+    if let Some((_, payload)) = panics.into_iter().min_by_key(|&(slot, _)| slot) {
+        panic::resume_unwind(payload);
+    }
+}
+
+/// Runs `f` as a region slot on the calling thread: regions opened inside
+/// it run inline, and the thread's previous mark is restored afterwards,
+/// also when `f` panics.
+fn as_slot(f: impl FnOnce()) -> std::thread::Result<()> {
+    let was = IN_PARALLEL.with(|flag| flag.replace(true));
+    let outcome = panic::catch_unwind(AssertUnwindSafe(f));
+    IN_PARALLEL.with(|flag| flag.set(was));
+    outcome
+}
+
+/// Head of the pool's worker list: parked worker `i` sits `i` links down.
+static POOL: OnceLock<&'static Worker> = OnceLock::new();
+
+/// One slot of a region, queued on a parked worker.
+struct Job {
+    /// The slot's task, borrowed from the caller's stack (see [`run_slots`]).
+    task: &'static mut (dyn FnMut() + Send),
+    slot: usize,
+    /// Receives the slot's outcome once the task has finished.
+    done: mpsc::Sender<(usize, std::thread::Result<()>)>,
+}
+
+/// How many times a worker that finished a job polls its queue before it
+/// parks, yielding its core between polls: about 55 µs on the 2-core host
+/// when no other thread wants the core (220 ns per `yield_now`). Regions
+/// come in bursts — a forward pass opens one per layer, tens of
+/// microseconds apart — and waking a parked worker takes about 10 µs, so
+/// the poll turns all but the first wake of a burst into a load. Yielding
+/// rather than spinning matters when the budget exceeds the core count: a
+/// spinning worker held a core that the region's other slots needed and
+/// made an 8-thread batch-1 forward on 2 cores 3× slower.
+const POLLS: u32 = 256;
+
+/// A parked worker: its FIFO of jobs and the link to the next worker.
+struct Worker {
+    jobs: ordered::Mutex<VecDeque<Job>>,
+    /// Length of `jobs`, readable without the lock while polling.
+    queued: AtomicUsize,
+    ready: ordered::Condvar,
+    next: OnceLock<&'static Worker>,
+}
+
+impl Worker {
+    /// Starts a worker thread parked on an empty queue. Workers live for
+    /// the rest of the process.
+    fn spawn() -> &'static Worker {
+        let worker: &'static Worker = Box::leak(Box::new(Worker {
+            jobs: ordered::Mutex::new(VecDeque::new(), "tensor.par.jobs"),
+            queued: AtomicUsize::new(0),
+            ready: ordered::Condvar::new(),
+            next: OnceLock::new(),
+        }));
+        std::thread::spawn(move || worker.serve());
+        worker
+    }
+
+    fn push(&self, job: Job) {
+        let mut jobs = self.jobs.lock();
+        jobs.push_back(job);
+        self.queued.store(jobs.len(), Ordering::Relaxed);
+        drop(jobs);
+        self.ready.notify_one();
+    }
+
+    /// The worker loop: run the oldest job, report its slot, repeat.
+    fn serve(&self) -> ! {
+        IN_PARALLEL.with(|flag| flag.set(true));
+        loop {
+            let Job { task, slot, done } = self.next_job();
+            let outcome = panic::catch_unwind(AssertUnwindSafe(task));
+            // The caller waits for this report, so the channel is open.
+            let _ = done.send((slot, outcome));
+        }
+    }
+
+    fn next_job(&self) -> Job {
+        for _ in 0..POLLS {
+            if self.queued.load(Ordering::Relaxed) > 0 {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        let mut jobs = self.jobs.lock();
+        loop {
+            if let Some(job) = jobs.pop_front() {
+                self.queued.store(jobs.len(), Ordering::Relaxed);
+                return job;
+            }
+            jobs = self.ready.wait(jobs);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -18,10 +18,10 @@
 //! * On the serial path (`DCN_THREADS=1`, or nested inside a parallel
 //!   region) all buffers live on the calling thread and are reused across
 //!   calls indefinitely — this is the allocation-free steady state.
-//! * Scoped worker threads spawned by a parallel region die when the region
-//!   closes, taking their pools with them; parallel regions therefore still
-//!   pay per-region allocations. The hot single-query inference path this
-//!   module exists for is serial, so that is the right trade.
+//! * Parallel regions run on the parked worker pool of `dcn_tensor::par`,
+//!   whose workers live for the whole process: each keeps its own pool
+//!   across regions, so a repeated parallel workload stops allocating too
+//!   once every worker has seen it. The cost is one warm pool per worker.
 //!
 //! Buffers are returned zero-filled, because the two biggest consumers
 //! (GEMM outputs and `im2col` padding) require it and a `memset` is noise

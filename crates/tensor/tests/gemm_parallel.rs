@@ -6,6 +6,7 @@
 //! accumulation never changes, so these are exact `to_bits` comparisons,
 //! not approximate ones.
 
+use dcn_obs::names::{PAR_REGIONS_TOTAL, PAR_SERIAL_REGIONS_TOTAL};
 use dcn_tensor::{kernel, par, ParConfig};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -45,9 +46,18 @@ fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
+/// Parallel regions recorded so far that split across more than one
+/// worker (counted only while collection is on).
+fn split_regions() -> u64 {
+    let serial = dcn_obs::counter(PAR_SERIAL_REGIONS_TOTAL).get();
+    dcn_obs::counter(PAR_REGIONS_TOTAL).get() - serial
+}
+
 /// Runs all three parallel drivers on one shape under every thread budget,
-/// pinning each against its serial kernel and its naive reference.
-fn check_shape(m: usize, k: usize, n: usize, threads: &[usize]) {
+/// pinning each against its serial kernel and its naive reference. Returns,
+/// per budget, how many multi-worker regions the `nn`, `tn` and `nt` calls
+/// opened.
+fn check_shape(m: usize, k: usize, n: usize, threads: &[usize]) -> Vec<(usize, [u64; 3])> {
     let a_nn = fill(m * k, 1); // A: [m, k] (nn, nt row-major by rows)
     let a_tn = fill(k * m, 2); // A: [k, m] (tn reads columns)
     let b_nn = fill(k * n, 3); // B: [k, n]
@@ -72,19 +82,30 @@ fn check_shape(m: usize, k: usize, n: usize, threads: &[usize]) {
     kernel::naive_nt(&a_nn, &b_nt, &mut naive, 0, k, n);
     assert_bits_eq(&serial_nt, &naive, &format!("serial nt vs naive {m}x{k}x{n}"));
 
+    dcn_obs::set_enabled(true);
+    let mut split = Vec::new();
     for &t in threads {
         par::configure(ParConfig::with_threads(t));
         let mut out = vec![f32::NAN; m * n]; // stale garbage must be overwritten
+        let before = split_regions();
         kernel::par_gemm_nn(&a_nn, &b_nn, &mut out, m, k, n);
+        let nn = split_regions() - before;
         assert_bits_eq(&out, &serial_nn, &format!("par nn {m}x{k}x{n} @ {t} threads"));
         out.iter_mut().for_each(|v| *v = f32::NAN);
+        let before = split_regions();
         kernel::par_gemm_tn(&a_tn, &b_nn, &mut out, m, k, n);
+        let tn = split_regions() - before;
         assert_bits_eq(&out, &serial_tn, &format!("par tn {m}x{k}x{n} @ {t} threads"));
         out.iter_mut().for_each(|v| *v = f32::NAN);
+        let before = split_regions();
         kernel::par_gemm_nt(&a_nn, &b_nt, &mut out, m, k, n);
+        let nt = split_regions() - before;
         assert_bits_eq(&out, &serial_nt, &format!("par nt {m}x{k}x{n} @ {t} threads"));
+        split.push((t, [nn, tn, nt]));
     }
     par::reset();
+    dcn_obs::clear_enabled_override();
+    split
 }
 
 #[test]
@@ -92,11 +113,18 @@ fn grid_parallel_gemm_is_bitwise_identical_for_any_thread_count() {
     let _guard = config_lock();
     // Odd, tile-misaligned dimensions with enough tiles and reduction depth
     // to clear the flop floor and open a real multi-worker grid.
-    check_shape(33, 64, 41, &[1, 2, 3, 5, 8]);
+    let mut split = check_shape(33, 64, 41, &[1, 2, 3, 5, 8]);
     // Tile-aligned grid-friendly shape: 10 row tiles × 4 column blocks.
-    check_shape(40, 64, 64, &[1, 2, 3, 5, 8]);
+    split.extend(check_shape(40, 64, 64, &[1, 2, 3, 5, 8]));
     // Row-dominant (the vote-batch silhouette): many row tiles, one block.
-    check_shape(200, 48, 16, &[1, 2, 3, 5, 8]);
+    split.extend(check_shape(200, 48, 16, &[1, 2, 3, 5, 8]));
+    // Every budget above 1 must have opened a real grid for every variant.
+    for (t, per_variant) in split {
+        assert!(
+            t < 2 || per_variant.iter().all(|&n| n > 0),
+            "a grid GEMM ran serially @ {t} threads: {per_variant:?} split regions (nn, tn, nt)"
+        );
+    }
 }
 
 #[test]
